@@ -9,7 +9,9 @@ laptop-friendly fraction of the paper's 10 000 bursts; set
 
 from __future__ import annotations
 
+import json
 import os
+import pathlib
 
 import pytest
 
@@ -38,3 +40,25 @@ def emit(title: str, body: str) -> None:
     """Print a labelled block that survives pytest's capture with -s."""
     print(f"\n===== {title} =====")
     print(body)
+
+
+def write_artifact(name: str, sections: dict) -> str:
+    """Merge *sections* into the throughput artifact *name*, if asked to.
+
+    Persists only when ``REPRO_BENCH_ARTIFACT_DIR`` is set (CI's
+    ``benchmark-trajectory`` job sets it), so a plain test run leaves the
+    tracked ``BENCH_*.json`` files alone; the gates assert either way.
+    The write is read-modify-write, so benches sharing an artifact keep
+    each other's keys.  Returns where the artifact went, for the report.
+    """
+    directory = os.environ.get("REPRO_BENCH_ARTIFACT_DIR")
+    if not directory:
+        return "not persisted; set REPRO_BENCH_ARTIFACT_DIR"
+    path = pathlib.Path(directory) / name
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        payload = {}
+    payload.update(sections)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return str(path)

@@ -19,18 +19,19 @@ Two gates:
   margin.
 
 Results extend ``BENCH_ctrl_throughput.json`` under a ``"streaming"``
-key (read-modify-write, so the throughput bench's sections survive).
+key (merged, so the throughput bench's sections survive), written to
+``REPRO_BENCH_ARTIFACT_DIR`` only when that variable is set, as in CI's
+``benchmark-trajectory`` job; the gates assert on every run.
 """
 
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_artifact
 
 try:
     import numpy  # noqa: F401
@@ -69,15 +70,7 @@ def _collect(process):
 
 
 def _write_artifact(section):
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-    path = directory / ARTIFACT_NAME
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload["streaming"] = section
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_artifact(ARTIFACT_NAME, {"streaming": section})
 
 
 @pytest.mark.skipif(not HAVE_NUMPY,

@@ -19,19 +19,18 @@ reported ungated — it is the no-NumPy fallback, not the production
 path.  A coverage-curve row (multi-lane faults at the default rate
 grid) is reported for context.
 
-Every run persists its measurements to ``BENCH_reliability.json``
-(override the directory with ``REPRO_BENCH_ARTIFACT_DIR``), uploaded by
-CI's ``benchmark-trajectory`` job.
+Measurements go to ``BENCH_reliability.json`` in
+``REPRO_BENCH_ARTIFACT_DIR`` (see ``conftest.write_artifact``), and only
+when that variable is set, as in CI's ``benchmark-trajectory`` job; the
+gate asserts on every run.
 """
 
-import json
 import os
-import pathlib
 import time
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_artifact
 
 from repro.core.schemes import get_scheme
 from repro.extensions.reliability import (
@@ -79,11 +78,8 @@ def _timed(fn):
 
 
 def _write_artifact(payload):
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-    path = directory / ARTIFACT_NAME
-    payload = {"schema": "repro.bench/reliability/1", **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_artifact(ARTIFACT_NAME,
+                          {"schema": "repro.bench/reliability/1", **payload})
 
 
 @pytest.mark.skipif(not HAVE_NUMPY,

@@ -14,17 +14,16 @@ fixed-coefficient OPT encoder at ``REPRO_BENCH_ACTIVITY_VECTORS``
 vectors (default 10 000), with bit-identical toggle tallies.  The NumPy
 path is reported (and sanity-gated at the same floor) on top.
 
-Every run persists its measurements to ``BENCH_hw_activity.json``
-(override the directory with ``REPRO_BENCH_ARTIFACT_DIR``) so CI keeps a
-perf trajectory of the gate-level layer.
+Measurements go to ``BENCH_hw_activity.json`` in
+``REPRO_BENCH_ARTIFACT_DIR`` (see ``conftest.write_artifact``), and only
+when that variable is set, as in CI's ``benchmark-trajectory`` job; the
+gate asserts on every run.
 """
 
-import json
 import os
-import pathlib
 import time
 
-from conftest import emit
+from conftest import emit, write_artifact
 
 from repro.hw.bitsim import compile_netlist
 from repro.hw.encoders import build_dc_encoder, build_opt_encoder
@@ -105,17 +104,13 @@ def _measure(netlist: Netlist, vectors, reference_fraction: int = 1):
 
 
 def _write_artifact(rows):
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-    path = directory / ARTIFACT_NAME
-    payload = {
+    return write_artifact(ARTIFACT_NAME, {
         "schema": "repro.bench/hw_activity/1",
         "n_vectors": BENCH_VECTORS,
         "speedup_floor": SPEEDUP_FLOOR,
         "numpy": HAVE_NUMPY,
         "designs": rows,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    })
 
 
 def test_activity_throughput_gate():

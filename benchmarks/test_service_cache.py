@@ -16,18 +16,17 @@ with bit-identical series and totals.  A third, ungated row reports the
 same query served from the already-populated memory tier (the steady
 state of a long-running ``repro serve`` daemon).
 
-Every run persists its measurements to ``BENCH_service.json`` (override
-the directory with ``REPRO_BENCH_ARTIFACT_DIR``), uploaded by CI's
-``benchmark-trajectory`` job.
+Measurements go to ``BENCH_service.json`` in
+``REPRO_BENCH_ARTIFACT_DIR`` (see ``conftest.write_artifact``), and only
+when that variable is set, as in CI's ``benchmark-trajectory`` job; the
+gate asserts on every run.
 """
 
-import json
 import os
-import pathlib
 import tempfile
 import time
 
-from conftest import emit
+from conftest import emit, write_artifact
 
 from repro.service.diskcache import DiskActivityCache
 from repro.service.faults import FaultPlan, FaultyCache
@@ -60,27 +59,15 @@ def _timed_run(spec, cache):
     return time.perf_counter() - start, result
 
 
-def _artifact_path():
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-    return directory / ARTIFACT_NAME
-
-
 def _update_artifact(**sections):
-    """Read-modify-write the shared service artifact (tests share it)."""
-    path = _artifact_path()
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload.update({
+    """Merge into the service artifact (both tests share it)."""
+    return write_artifact(ARTIFACT_NAME, {
         "schema": "repro.bench/service_cache/1",
         "samples": BENCH_SAMPLES,
         "points": BENCH_POINTS,
         "speedup_floor": SPEEDUP_FLOOR,
+        **sections,
     })
-    payload.update(sections)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def test_service_cache_warm_gate():

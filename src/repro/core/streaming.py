@@ -16,11 +16,13 @@ This module extends the paper's formulation to streams:
   the greedy weighted heuristic; ``window → stream length`` converges to
   the joint optimum — which the tests and the window-size ablation
   quantify.
-* :class:`BatchStreamingEncoder` — the batch sibling: the same windowed
-  trellis solved over ``(lanes, window)`` arrays at once through the
-  vector backend (:func:`repro.core.vectorized.solve_batch` with per-row
-  boundary words), for controllers that drive many byte lanes in
-  lock-step.  Per-lane decisions and activity tallies are bit-identical
+* :class:`BatchStreamingEncoder` — the batch sibling for controllers
+  that drive many byte lanes in lock-step.  It speculates across
+  rounds: past the first round of a push, a window's boundary word can
+  only be the raw or the inverted word of the byte before it, so whole
+  blocks of rounds are solved for both boundaries in one call of the
+  vector backend's Viterbi kernel and a cheap scan keeps the live
+  branch.  Per-lane decisions and activity tallies are bit-identical
   to running one :class:`StreamingOptimalEncoder` per lane, which the
   differential suite (``tests/core/test_streaming_batch.py``) enforces.
 
@@ -37,6 +39,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .bitops import (
     ALL_ONES_WORD,
     BYTE_MASK,
+    DBI_BIT,
     WORD_WIDTH,
     check_byte,
     check_word,
@@ -45,6 +48,13 @@ from .bitops import (
 from .burst import Burst
 from .costs import CostModel
 from .trellis import solve
+
+#: Trellis cells (lanes x rounds x window) per speculative block of
+#: :meth:`BatchStreamingEncoder._speculate`.  Both boundary branches are
+#: solved and the kernel keeps four float64 edge weights per cell, so a
+#: block's scratch stays near 70 bytes x this budget (about 5 MiB) at any
+#: link geometry.
+_SPECULATION_CELLS = 1 << 16
 
 
 def solve_stream(data: Sequence[int], model: CostModel,
@@ -180,16 +190,27 @@ class BatchStreamingEncoder:
     ``window``/``commit`` cadence, same boundary-word chaining): whenever
     a lane has ``window`` bytes pending, the trellis is solved over that
     window and the first ``commit`` decisions are committed.  The batch
-    twist is that every lane currently holding the same number of pending
-    bytes is solved in one :func:`~repro.core.vectorized.solve_batch`
-    call over a ``(lanes, window)`` array with per-row boundary words —
-    the whole link advances in lock-step rounds instead of per byte.
+    twist: lanes holding the same number of pending bytes form one
+    group, and a push solves all of a group's rounds together instead of
+    one round after another.  Round *r* only depends on earlier rounds
+    through its boundary word, which (past round 0) is the raw or the
+    inverted wire word of the byte before the window.  So blocks of
+    rounds are solved for *both* boundaries as one
+    ``(window, 2, rounds, lanes)`` batch of the shared kernel
+    :func:`~repro.core.vectorized._viterbi_planes`; a scan over each
+    round's last committed flag picks the branch that really happened,
+    and the tallies are read off once per group.  Blocks are sized from
+    a fixed cell budget, so scratch memory stays bounded at any link
+    geometry.
 
     Decisions and the integer activity tallies (zeros, transitions,
     beats per lane) are **bit-identical** to the per-lane reference;
     that is a guarantee (enforced by the differential suite), not an
-    approximation, because :func:`solve_batch` performs the reference
-    trellis's IEEE-754 operations in the reference order.
+    approximation.  The live branch of a round solves exactly the
+    window the reference solves, from the same boundary word, and the
+    kernel prices every edge from the same small integers with the same
+    IEEE-754 operations as :meth:`CostModel.word_cost`, comparing in the
+    reference order.
 
     Requires NumPy (the vector backend); per-lane reference encoding is
     the fallback for NumPy-free environments.
@@ -357,51 +378,118 @@ class BatchStreamingEncoder:
                 self._pending[row] = mat[slot, pos:].copy()
 
     def _process_group(self, idx, mat, final: bool) -> int:
-        """Advance one equal-length group through its windows; return the
-        number of committed bytes per lane.
+        """Commit one equal-length group; return the number of committed
+        bytes per lane.
 
-        The raw/inverted wire-word planes are computed once for the
-        whole group matrix and sliced per round — every round is then a
-        single :func:`~repro.core.vectorized._viterbi_planes` call plus
-        the integer tallies.
+        A push commits every full round through :meth:`_speculate`.  A
+        flush commits the whole group with one solve from the lanes'
+        boundary words: every push drains its full windows, so a flush
+        only ever sees fewer than ``window`` pending bytes.  The tallies
+        of the committed words are read off the popcount planes once.
         """
-        from .vectorized import _viterbi_planes, _word_planes, popcount_table
+        from .vectorized import (
+            _plane_tallies,
+            _popcount_planes,
+            _viterbi_planes,
+        )
 
         np = self._np
-        pop = popcount_table()
-        alpha, beta = self.model.alpha, self.model.beta
-        words_raw, words_inv = _word_planes(mat)
-        length = mat.shape[1]
-        prev = self._prev[idx]
-        zeros = np.zeros(len(idx), dtype=np.int64)
-        n_transitions = np.zeros(len(idx), dtype=np.int64)
-        pos = 0
-        while (length - pos >= self.window) or (final and pos < length):
-            end = min(pos + self.window, length)
-            count = self.commit if end - pos == self.window else end - pos
-            flags, _costs = _viterbi_planes(words_raw[:, pos:end],
-                                            words_inv[:, pos:end],
-                                            alpha, beta, prev)
-            committed_flags = flags[:, :count]
-            words = np.where(committed_flags,
-                             words_inv[:, pos:pos + count],
-                             words_raw[:, pos:pos + count])
-            prev_columns = np.concatenate(
-                [prev[:, None], words[:, :-1]], axis=1)
-            zeros += (WORD_WIDTH - pop[words]).sum(axis=1)
-            n_transitions += pop[prev_columns ^ words].sum(axis=1)
-            prev = words[:, -1]
-            if self.record:
-                for slot, row in enumerate(idx):
-                    self._decisions[int(row)].append(
-                        (mat[slot, pos:pos + count].copy(),
-                         committed_flags[slot].copy()))
-            pos += count
-        self._zeros[idx] += zeros
+        t, z = _popcount_planes(mat, self._prev[idx])
+        if final:
+            assert mat.shape[1] < self.window, "push() drains full windows"
+            flags, _costs = _viterbi_planes(t, z, self.model.alpha,
+                                            self.model.beta)
+        else:
+            flags = self._speculate(t, z)
+        end = len(flags)
+        n_transitions, n_zeros = _plane_tallies(flags, t[:end], z[:end])
+        self._zeros[idx] += n_zeros
         self._transitions[idx] += n_transitions
-        self._beats[idx] += pos
-        self._prev[idx] = prev
-        return pos
+        self._beats[idx] += end
+        last_bytes = mat[:, end - 1].astype(np.int64)
+        self._prev[idx] = np.where(flags[end - 1], last_bytes ^ BYTE_MASK,
+                                   last_bytes | DBI_BIT)
+        if self.record:
+            for slot, row in enumerate(idx):
+                self._decisions[int(row)].append(
+                    (mat[slot, :end].copy(), flags[:, slot].copy()))
+        return end
+
+    def _speculate(self, t, z):
+        """Committed flags of every full round of a group, as a
+        ``(rounds * commit, lanes)`` bool array.
+
+        Round *r* solves the window at byte ``r * commit`` and commits its
+        first ``commit`` decisions, so it depends on earlier rounds only
+        through its boundary word — and past round 0 that word is the
+        raw or the inverted wire word of byte ``r * commit - 1``.  Blocks
+        of rounds are therefore solved for both boundaries at once, as
+        one ``(window, 2, rounds, lanes)`` batch of the shared kernel
+        :func:`~repro.core.vectorized._viterbi_planes`, and a scan over
+        each round's last committed flag then picks the live branch.
+
+        ``t[p]`` prices byte *p* against the *raw* word of byte
+        ``p - 1`` (``t[0]``: against the lane's boundary word, so round
+        0 is the raw branch).  A boundary in the inverted word differs
+        in every lane, so the inverted branch's first step costs
+        ``WORD_WIDTH - t[p]`` transitions instead.
+        """
+        from .vectorized import _select, _viterbi_planes
+
+        np = self._np
+        window, commit = self.window, self.commit
+        alpha, beta = self.model.alpha, self.model.beta
+        length, lanes = t.shape
+        rounds = (length - window) // commit + 1
+        flags = np.empty((rounds, commit, lanes), dtype=bool)
+        # (window, rounds, lanes) views of every round's window.
+        starts, zeros = (np.lib.stride_tricks.sliding_window_view(
+            plane, window, axis=0)[::commit].transpose(2, 0, 1)
+            for plane in (t, z))
+        # Polarity of the boundary word entering the next round.
+        live = np.zeros(lanes, dtype=bool)
+        block = max(1, _SPECULATION_CELLS // (lanes * window))
+        for first in range(0, rounds, block):
+            last = min(first + block, rounds)
+            spec_t = np.repeat(starts[:, None, first:last], 2, axis=1)
+            spec_t[0, 1] = WORD_WIDTH - spec_t[0, 0]
+            spec_flags, _costs = _viterbi_planes(
+                spec_t, zeros[:, None, first:last], alpha, beta)
+            branch, live = _live_branches(spec_flags[commit - 1], live)
+            flags[first:last] = _select(
+                branch, spec_flags[:commit, 1],
+                spec_flags[:commit, 0]).transpose(1, 0, 2)
+        return flags.reshape(rounds * commit, lanes)
+
+
+def _live_branches(exits, live):
+    """Scan which speculative branch each round of a block really took.
+
+    ``exits[b, r]`` is the polarity of round *r*'s last committed byte
+    when the round was entered from a boundary of polarity *b*, so each
+    round maps its entry polarity to its exit polarity; *live* is the
+    entry polarity of the first round.  The maps are composed as a
+    doubling prefix scan (log2(rounds) array steps, not one per round).
+    Returns the ``(rounds, lanes)`` entry polarities and the exit
+    polarity of the last round.
+    """
+    import numpy as np
+
+    from .vectorized import _select
+
+    from_raw, from_inv = exits[0].copy(), exits[1].copy()
+    step = 1
+    while step < len(from_raw):
+        # Round r's map so far covers (r - step, r]; compose it after the
+        # map ending at round r - step.
+        later_raw, later_inv = from_raw[step:], from_inv[step:]
+        composed = (_select(from_raw[:-step], later_inv, later_raw),
+                    _select(from_inv[:-step], later_inv, later_raw))
+        from_raw[step:], from_inv[step:] = composed
+        step *= 2
+    exit_polarity = _select(live, from_inv, from_raw)
+    return (np.concatenate([live[None], exit_polarity[:-1]]),
+            exit_polarity[-1])
 
 
 def windowed_stream_cost(data: Sequence[int], model: CostModel,

@@ -4,15 +4,28 @@ The reference implementation (:mod:`repro.core.trellis` and the scheme
 classes) solves one burst at a time in pure Python — ideal as an
 executable specification, but every figure sweep pays per-burst Python
 overhead.  This module provides the batched hot path: bursts are packed
-into a ``(batch, n)`` ``uint8`` array, all 9-bit wire words and popcounts
-come from precomputed tables, and the two-state Viterbi recursion of the
-paper's Fig. 5 runs across the whole batch at once — the only Python loop
-is over the ``n`` byte positions of a burst (8 for JEDEC bursts).
+into a ``(batch, n)`` ``uint8`` array and the two-state Viterbi recursion
+of the paper's Fig. 5 runs across the whole batch at once — the only
+Python loop is over the ``n`` byte positions of a burst (8 for JEDEC
+bursts).
+
+One lean kernel, :func:`_viterbi_planes`, serves every trellis in the
+library: :func:`solve_batch`, the speculative windowed trellis of
+:class:`repro.core.streaming.BatchStreamingEncoder` and the grouped-DBI
+trellises of :mod:`repro.extensions.granularity`.  It never builds wire
+words.  A raw and an inverted word differ in every lane, so one
+``uint8`` popcount plane per step prices all four edges (raw→raw and
+inv→inv cost ``t`` transitions, the cross edges ``width - t``), and a
+second plane holds the raw word's zeros (the inverted word has
+``width - z``).
 
 Bit-identity with the reference is a hard guarantee, not an
-approximation: the recursion performs the same IEEE-754 double operations
-in the same order as :func:`repro.core.trellis.solve`, so invert flags
-*and* path costs match the reference exactly (the differential suite in
+approximation: every edge weight is ``alpha * t + beta * z`` on the same
+small integers as :meth:`repro.core.costs.CostModel.word_cost` — integers
+convert to doubles exactly, so the products and sums are the same
+doubles — and the recursion compares and keeps minima in the order of
+:func:`repro.core.trellis.solve`, so invert flags *and* path costs match
+the reference exactly (the differential suite in
 ``tests/core/test_vectorized_parity.py`` enforces this).
 
 Backend selection
@@ -135,6 +148,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 
 #: 9-bit popcount table, built lazily (index by any value in [0, 511]).
 _POPCOUNT9 = None
+_POPCOUNT9_U8 = None
 
 
 def popcount_table():
@@ -144,6 +158,14 @@ def popcount_table():
     if _POPCOUNT9 is None:
         _POPCOUNT9 = np.asarray(hamming_weight_table(WORD_WIDTH), dtype=np.int64)
     return _POPCOUNT9
+
+
+def _popcount_u8():
+    """:func:`popcount_table` as ``uint8``, for the trellis popcount planes."""
+    global _POPCOUNT9_U8
+    if _POPCOUNT9_U8 is None:
+        _POPCOUNT9_U8 = popcount_table().astype(_np.uint8)
+    return _POPCOUNT9_U8
 
 
 def pack_bursts(bursts: Sequence):
@@ -246,70 +268,124 @@ def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WO
     transmit inverted) and ``costs`` is ``(batch,)`` float64, both
     bit-identical to running :func:`repro.core.trellis.solve` row by row.
     """
+    np = _require_numpy()
     data = pack_bursts(data)
     prev = _as_prev_words(prev_words, data.shape[0])
-    words_raw, words_inv = _word_planes(data)
-    return _viterbi_planes(words_raw, words_inv, model.alpha, model.beta,
-                           prev)
+    flags, costs = _viterbi_planes(*_popcount_planes(data, prev),
+                                   model.alpha, model.beta)
+    return np.ascontiguousarray(flags.T), costs
 
 
-def _viterbi_planes(words_raw, words_inv, alpha: float, beta: float, prev,
-                    width: int = WORD_WIDTH):
-    """The two-state Viterbi recursion over prepared word planes.
+def _popcount_planes(values, prev, width: int = WORD_WIDTH):
+    """Column-major popcount planes of a packed ``(batch, n)`` array.
 
-    The compute core of :func:`solve_batch`, split out so windowed
-    callers (:class:`repro.core.streaming.BatchStreamingEncoder`) can
-    slice precomputed ``(batch, n)`` raw/inverted wire-word planes round
-    by round without re-packing.  Performs the same IEEE-754 double
-    operations in the same order as :func:`repro.core.trellis.solve`;
-    all guarantees of :func:`solve_batch` flow from this function.
+    *values* holds the data lanes of each word (``width - 1`` bits; the
+    DBI lane sits on top, 1 in the raw word, 0 in the inverted one) and
+    *prev* the ``(batch,)`` int64 boundary words.  Returns ``(t, z)``,
+    both ``(n, batch)`` ``uint8``:
 
-    ``width`` is the lane count of one word (the zeros term counts
-    ``width - popcount``): 9 for the paper's byte+DBI words, ``g + 1``
-    for the grouped-DBI trellises of
-    :class:`repro.extensions.granularity.GroupedDbiOptimal`.  Words must
-    stay below 2**9 so the shared popcount table applies.
+    * ``t[0] = popcount(prev ^ raw[0])`` and
+      ``t[i] = popcount(raw[i - 1] ^ raw[i])`` — the transitions of the
+      raw→raw edge into step *i*;
+    * ``z[i]`` — the zeros of the raw word of step *i*.
+
+    The other three edges of a step follow from these two planes (see
+    :func:`_viterbi_planes`), so no wire-word plane is ever built.
+    """
+    np = _require_numpy()
+    pop = _popcount_u8()
+    cols = np.ascontiguousarray(values.T)
+    t = np.empty(cols.shape, dtype=np.uint8)
+    if len(cols):
+        t[0] = pop[prev ^ (1 << (width - 1)) ^ cols[0]]
+        t[1:] = pop[cols[:-1] ^ cols[1:]]
+    return t, (width - 1) - pop[cols]
+
+
+def _viterbi_planes(t, z, alpha: float, beta: float, width: int = WORD_WIDTH):
+    """The two-state Viterbi recursion over popcount planes.
+
+    The one compute core behind :func:`solve_batch`, the speculative
+    windowed trellis of :class:`repro.core.streaming.BatchStreamingEncoder`
+    and the grouped trellises of
+    :class:`repro.extensions.granularity.GroupedDbiOptimal`.  *t* and *z*
+    are ``(n, *batch)`` ``uint8`` planes as built by
+    :func:`_popcount_planes` (*z* may broadcast against *t*); step *i* is
+    the leading axis, so every per-step slice is contiguous.  Returns
+    ``(flags, totals)``: ``(n, *batch)`` bool and ``(*batch,)`` path costs.
+
+    A raw and an inverted word differ in every one of the ``width``
+    lanes, so one popcount prices all four edges of a step: raw→raw and
+    inv→inv cost ``t`` transitions, the two cross edges ``width - t``,
+    and the inverted word has ``width - z`` zeros.  Edge weights are
+    read from a table of ``alpha * k + beta * j`` over those small
+    integers — the same IEEE-754 operations on the same integers as
+    :meth:`CostModel.word_cost`, hence the same doubles — and the
+    recursion compares and keeps minima in the reference order
+    (ties toward the raw word), so flags and totals are bit-identical to
+    :func:`repro.core.trellis.solve`.
+
+    ``width`` is the lane count of one word: 9 for the paper's
+    byte+DBI words, ``g + 1`` for grouped DBI.
     """
     np = _require_numpy()
     if not 0 < width <= WORD_WIDTH:
         raise ValueError(f"width must be in [1, {WORD_WIDTH}], got {width}")
-    batch, n = words_raw.shape
-    pop = popcount_table()
+    n = t.shape[0]
+    span = np.arange(width + 1)
+    same, cross = (alpha * span)[:, None], (alpha * span[::-1])[:, None]
+    zeros_raw, zeros_inv = (beta * span)[None, :], (beta * span[::-1])[None, :]
+    # Row e of the table prices edge e = raw→raw, raw→inv, inv→raw,
+    # inv→inv at index t * (width + 1) + z.
+    table = np.stack([same + zeros_raw, cross + zeros_inv,
+                      cross + zeros_raw, same + zeros_inv]).reshape(4, -1)
+    edges = np.take(table, t * np.uint8(width + 1) + z, axis=1)
+    batch_shape = edges.shape[2:]
 
-    def edge(prev_w, word):
-        # Same IEEE ops, same order, as CostModel.word_cost.
-        return alpha * pop[prev_w ^ word] + beta * (width - pop[word])
-
-    cost_raw = edge(prev, words_raw[:, 0])
-    cost_inv = edge(prev, words_inv[:, 0])
-    choice_raw = np.zeros((batch, n), dtype=bool)
-    choice_inv = np.zeros((batch, n), dtype=bool)
-
+    cost = edges[0:2, 0].copy()
+    via_raw = np.empty_like(cost)
+    via_inv = np.empty_like(cost)
+    choice = np.empty((n, 2) + batch_shape, dtype=bool)
     for i in range(1, n):
-        wr_prev, wi_prev = words_raw[:, i - 1], words_inv[:, i - 1]
-        wr, wi = words_raw[:, i], words_inv[:, i]
+        np.add(cost[0], edges[0:2, i], out=via_raw)
+        np.add(cost[1], edges[2:4, i], out=via_inv)
+        np.less(via_inv, via_raw, out=choice[i])
+        np.minimum(via_raw, via_inv, out=cost)
 
-        via_raw = cost_raw + edge(wr_prev, wr)
-        via_inv = cost_inv + edge(wi_prev, wr)
-        from_inv_raw = via_inv < via_raw
-        next_raw = np.where(from_inv_raw, via_inv, via_raw)
+    flags = np.empty((n,) + batch_shape, dtype=bool)
+    current = cost[1] < cost[0]
+    flags[n - 1] = current
+    for i in range(n - 1, 0, -1):
+        current = _select(current, choice[i, 1], choice[i, 0])
+        flags[i - 1] = current
+    return flags, np.minimum(cost[0], cost[1])
 
-        via_raw = cost_raw + edge(wr_prev, wi)
-        via_inv = cost_inv + edge(wi_prev, wi)
-        from_inv_inv = via_inv < via_raw
-        next_inv = np.where(from_inv_inv, via_inv, via_raw)
 
-        cost_raw, cost_inv = next_raw, next_inv
-        choice_raw[:, i] = from_inv_raw
-        choice_inv[:, i] = from_inv_inv
+def _plane_tallies(flags, t, z, width: int = WORD_WIDTH):
+    """Per-column ``(transitions, zeros)`` of committed flags, int64.
 
-    flags = np.zeros((batch, n), dtype=bool)
-    current = cost_inv < cost_raw
-    totals = np.where(current, cost_inv, cost_raw)
-    for i in range(n - 1, -1, -1):
-        flags[:, i] = current
-        current = np.where(current, choice_inv[:, i], choice_raw[:, i])
-    return flags, totals
+    Reads the tallies of the wire words selected by ``(n, batch)``
+    *flags* straight off the :func:`_popcount_planes` planes: an
+    inverted word has ``width - z`` zeros, and a step's transitions are
+    ``t`` when its polarity matches the previous word's (the boundary
+    word counts as raw) and ``width - t`` when it flips.  Temporaries
+    stay ``uint8``/bool; only the column sums are int64.
+    """
+    np = _require_numpy()
+    flips = flags.copy()
+    flips[1:] ^= flags[:-1]
+    transitions = _select(flips, width - t, t).sum(axis=0, dtype=np.int64)
+    zeros = _select(flags, width - z, z).sum(axis=0, dtype=np.int64)
+    return transitions, zeros
+
+
+def _select(cond, if_true, if_false):
+    """``np.where(cond, if_true, if_false)`` for bool and ``uint8`` planes.
+
+    Written bitwise because NumPy's ``where`` on these small dtypes is
+    an order of magnitude slower than two XORs and a multiply.
+    """
+    return if_false ^ ((if_true ^ if_false) * cond)
 
 
 def solve_stream_batch(data, model,
@@ -429,21 +505,18 @@ def flags_to_words(data, flags):
     return np.where(np.asarray(flags, dtype=bool), words_inv, words_raw)
 
 
-def batch_activity(words, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD,
-                   width: int = WORD_WIDTH):
+def batch_activity(words, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD):
     """Per-burst ``(transitions, zeros)`` tallies for a batch of word rows.
 
     Each row is measured from its own boundary word (independent mode).
-    ``width`` is the lane count per word (zeros = ``width - popcount``);
-    the default is the paper's 9-lane byte+DBI word, grouped-DBI callers
-    pass ``group_size + 1``.  Returns two ``(batch,)`` int64 arrays.
+    Returns two ``(batch,)`` int64 arrays.
     """
     np = _require_numpy()
     words = np.asarray(words, dtype=np.int64)
     batch, n = words.shape
     pop = popcount_table()
     prev = _as_prev_words(prev_words, batch)
-    zeros = (width - pop[words]).sum(axis=1)
+    zeros = (WORD_WIDTH - pop[words]).sum(axis=1)
     transitions = pop[prev ^ words[:, 0]]
     if n > 1:
         transitions = transitions + pop[words[:, :-1] ^ words[:, 1:]].sum(axis=1)

@@ -23,7 +23,8 @@ the vector path stripes the ``8 // g`` group lanes of every burst along
 the batch axis — an 8-byte burst at ``group_size=4`` becomes two
 independent 5-lane trellis columns — and solves them in a single
 :func:`repro.core.vectorized._viterbi_planes` call with
-``width = group_size + 1``.  Invert flags, zeros and transitions are
+``width = group_size + 1`` — the same popcount-plane kernel as the byte
+trellis.  Invert flags, zeros and transitions are
 bit-identical to the scalar :meth:`GroupedDbiOptimal._solve_group`
 reference (same IEEE-754 operations in the same order; the differential
 suite in ``tests/extensions/test_granularity.py`` enforces this).
@@ -203,29 +204,28 @@ class GroupedDbiOptimal:
         """
         import numpy as np
 
-        from ..core.vectorized import _viterbi_planes, batch_activity
+        from ..core.vectorized import (
+            _plane_tallies,
+            _popcount_planes,
+            _viterbi_planes,
+        )
 
         g = self.group_size
         k = self.groups_per_byte
+        width = g + 1
         batch, n = packed.shape
         mask = (1 << g) - 1
-        dbi_bit = 1 << g
-        idle = (1 << (g + 1)) - 1
-        wide = packed.astype(np.int64)
         # Stripe group lanes along the batch axis: row ``lane * batch + b``
         # carries group lane ``lane`` of burst ``b`` — every row is an
         # independent (g+1)-lane trellis with an idle-high boundary.
         values = np.concatenate(
-            [(wide >> (lane * g)) & mask for lane in range(k)], axis=0)
-        words_raw = values | dbi_bit
-        words_inv = values ^ mask
-        prev = np.full(k * batch, idle, dtype=np.int64)
-        flags, _costs = _viterbi_planes(words_raw, words_inv,
-                                        self.model.alpha, self.model.beta,
-                                        prev, width=g + 1)
-        words = np.where(flags, words_inv, words_raw)
-        transitions, zeros = batch_activity(words, idle, width=g + 1)
-        return (flags.reshape(k, batch, n),
+            [(packed >> (lane * g)) & mask for lane in range(k)], axis=0)
+        idle = np.full(k * batch, (1 << width) - 1, dtype=np.int64)
+        t, z = _popcount_planes(values, idle, width=width)
+        flags, _costs = _viterbi_planes(t, z, self.model.alpha,
+                                        self.model.beta, width=width)
+        transitions, zeros = _plane_tallies(flags, t, z, width=width)
+        return (np.ascontiguousarray(flags.T).reshape(k, batch, n),
                 zeros.reshape(k, batch).sum(axis=0),
                 transitions.reshape(k, batch).sum(axis=0))
 

@@ -10,10 +10,10 @@ Three contracts:
   *different* operating points, online tracking must land strictly below
   **every** fixed point, and the switch log must show the re-pricing
   happening mid-trace.
-* **Auto fallback** — ``backend="auto"`` drops to the reference
-  implementation below ``AUTO_VECTOR_MIN_CELLS`` trellis cells (where
-  NumPy call overhead loses); an explicit ``"vector"`` is always
-  honoured.
+* **Auto resolution** — ``backend="auto"`` resolves to the vector path
+  whenever NumPy is present, at every link geometry (the speculative
+  windowed trellis beats the reference even on one-lane links); an
+  explicit ``"vector"`` is always honoured.
 """
 
 import pytest
@@ -26,11 +26,7 @@ from repro.ctrl.adaptive import (
     OperatingPointSchedule,
     TrackingConfig,
 )
-from repro.ctrl.controller import (
-    AUTO_VECTOR_MIN_CELLS,
-    MemoryController,
-    transactions_from_bytes,
-)
+from repro.ctrl.controller import MemoryController, transactions_from_bytes
 from repro.phy.power import GBPS, PICOFARAD
 from repro.workloads.source import BytesTraceSource
 
@@ -261,12 +257,11 @@ class TestTwoPhaseTracking:
 
 class TestAutoFallback:
     @pytest.mark.skipif(not HAVE_VECTOR, reason="needs NumPy installed")
-    def test_small_links_fall_back_to_reference(self):
-        controller = MemoryController(channels=1, byte_lanes=2, window=16,
-                                      backend="auto")
-        assert controller.channels * controller.byte_lanes * 16 \
-            < AUTO_VECTOR_MIN_CELLS
-        assert controller.backend == "reference"
+    def test_small_links_resolve_to_vector(self):
+        for lanes, window in ((1, 1), (1, 4), (2, 16)):
+            controller = MemoryController(channels=1, byte_lanes=lanes,
+                                          window=window, backend="auto")
+            assert controller.backend == "vector"
 
     @pytest.mark.skipif(not HAVE_VECTOR, reason="needs NumPy installed")
     def test_large_links_stay_vectorized(self):

@@ -242,3 +242,83 @@ class TestGranularityTable:
         assert costs[4] < costs[8]          # nibble DBI wins slightly...
         assert costs[8] / costs[4] < 1.03   # ...but by only a few percent
         assert min(costs, key=costs.get) in (2, 4)
+
+
+def _tie_values(group_size):
+    """Group values that tie raw against inverted under many models."""
+    mask = (1 << group_size) - 1
+    half = mask >> (group_size // 2)
+    return sorted({0, mask, half, mask ^ half})
+
+
+tie_models = st.sampled_from([
+    CostModel.fixed(), CostModel.dc_only(), CostModel.ac_only(),
+    CostModel(2, 3), CostModel.from_ac_fraction(0.3)])
+
+
+class TestSharedKernelParity:
+    """Grouped DBI runs the same popcount-plane Viterbi kernel as the byte
+    trellis; on tie-heavy data it must reproduce the scalar group trellis
+    (:meth:`GroupedDbiOptimal._solve_group`) flag for flag."""
+
+    @needs_numpy
+    @given(data=st.data(), group_size=st.sampled_from(VALID_GROUP_SIZES),
+           model=tie_models)
+    @settings(max_examples=60, deadline=None)
+    def test_encode_batch_matches_solve_group(self, data, group_size,
+                                              model):
+        length = data.draw(st.integers(min_value=1, max_value=10))
+        tie_bytes = st.sampled_from((0x00, 0x0F, 0xF0, 0xFF, 0x33, 0xCC))
+        population = data.draw(st.lists(
+            st.lists(tie_bytes, min_size=length, max_size=length),
+            min_size=1, max_size=8))
+        scheme = GroupedDbiOptimal(model, group_size=group_size)
+        encodings = scheme.encode_batch(population, backend="vector")
+        for burst, encoding in zip(population, encodings):
+            zeros = transitions = 0
+            for lane in range(scheme.groups_per_byte):
+                stream = [split_groups(byte, group_size)[lane]
+                          for byte in burst]
+                flags, lane_zeros, lane_transitions = \
+                    scheme._solve_group(stream)
+                assert [beat[lane] for beat in encoding.invert_flags] \
+                    == flags
+                zeros += lane_zeros
+                transitions += lane_transitions
+            assert (encoding.zeros, encoding.transitions) \
+                == (zeros, transitions)
+
+    @needs_numpy
+    @given(data=st.data(), width=st.integers(min_value=2, max_value=9),
+           model=tie_models)
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_solve_group_at_every_width(self, data, width,
+                                                       model):
+        import numpy as np
+
+        from repro.core.vectorized import (
+            _plane_tallies,
+            _popcount_planes,
+            _viterbi_planes,
+        )
+
+        group_size = width - 1
+        length = data.draw(st.integers(min_value=1, max_value=10))
+        streams = data.draw(st.lists(
+            st.lists(st.sampled_from(_tie_values(group_size)),
+                     min_size=length, max_size=length),
+            min_size=1, max_size=6))
+        # The scalar group trellis only reads group_size and the model, so
+        # it prices any width, not just the ones that tile a byte.
+        scheme = GroupedDbiOptimal(model)
+        scheme.group_size = group_size
+        values = np.asarray(streams, dtype=np.uint8)
+        idle = np.full(len(streams), (1 << width) - 1, dtype=np.int64)
+        t, z = _popcount_planes(values, idle, width=width)
+        flags, _costs = _viterbi_planes(t, z, model.alpha, model.beta,
+                                        width=width)
+        transitions, zeros = _plane_tallies(flags, t, z, width=width)
+        for row, stream in enumerate(streams):
+            expected = scheme._solve_group(stream)
+            assert (flags[:, row].tolist(), int(zeros[row]),
+                    int(transitions[row])) == expected
