@@ -50,7 +50,10 @@ ArtifactLike = Union[str, ExperimentResult]
 def _as_result(artifact: ArtifactLike) -> ExperimentResult:
     if isinstance(artifact, ExperimentResult):
         return artifact
-    return load_artifact(artifact)
+    result = load_artifact(artifact)
+    if not isinstance(result, ExperimentResult):
+        raise ValueError(f"{artifact}: not a figure experiment artifact")
+    return result
 
 
 @dataclass

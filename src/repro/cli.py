@@ -56,13 +56,13 @@ from .service.diskcache import open_cache, resolve_cache_dir
 from .sim.experiments import (
     ExperimentResult,
     ReplayPoint,
+    ReplayResult,
     ReplaySpec,
     alpha_experiment,
     fault_experiment,
     granularity_experiment,
     load_artifact,
     load_experiment,
-    load_replay_artifact,
     rate_experiment,
     run_experiment,
     run_faults,
@@ -70,7 +70,6 @@ from .sim.experiments import (
     run_replay,
     run_sso,
     save_artifact,
-    save_replay_artifact,
     sso_experiment,
 )
 from .sim.report import (
@@ -157,27 +156,25 @@ def _run_or_load(args: argparse.Namespace, build_spec, figure: str,
     Returns ``(result, sweep)``, or ``None`` for a handled usage error
     (message already on stderr, caller exits 2).
     """
-    if args.out:
-        out_dir = os.path.dirname(os.path.abspath(args.out))
-        if not os.path.isdir(out_dir):
-            print(f"--out {args.out}: directory {out_dir} does not exist",
-                  file=sys.stderr)
-            return None
+    if not _check_out(args.out):
+        return None
     if args.from_artifact:
         ignored = [f"--{name}" for name, default in _SIM_FLAG_DEFAULTS.items()
                    if getattr(args, name, default) != default]
         if ignored:
             print(f"warning: {' '.join(ignored)} ignored — rendering from "
                   f"{args.from_artifact}, not simulating", file=sys.stderr)
+        result = _load_result(args.from_artifact, ExperimentResult)
+        if result is None:
+            return None
+        if result.spec.figure != figure:
+            print(f"{args.from_artifact}: artifact renders figure "
+                  f"{result.spec.figure!r}, expected {figure!r}",
+                  file=sys.stderr)
+            return None
         try:
-            result = load_artifact(args.from_artifact)
-            if result.spec.figure != figure:
-                print(f"{args.from_artifact}: artifact renders figure "
-                      f"{result.spec.figure!r}, expected {figure!r}",
-                      file=sys.stderr)
-                return None
             sweep = converter(result)
-        except (OSError, ValueError, KeyError, TypeError) as error:
+        except (ValueError, KeyError, TypeError) as error:
             print(f"{args.from_artifact}: cannot load artifact ({error})",
                   file=sys.stderr)
             return None
@@ -204,23 +201,38 @@ def _run_or_load(args: argparse.Namespace, build_spec, figure: str,
                                     jobs=args.jobs,
                                     cache=open_cache(args.cache_dir))
         sweep = converter(result)
+    return result, sweep
+
+
+def _load_result(path: str, result_type: type):
+    """``--from-artifact``: the artifact's result if it is a
+    *result_type*, else ``None`` after a usage error on stderr."""
+    try:
+        result = load_artifact(path)
+        if not isinstance(result, result_type):
+            raise ValueError(f"{type(result).__name__} where "
+                             f"{result_type.__name__} was expected")
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        print(f"{path}: cannot load artifact ({error})", file=sys.stderr)
+        return None
+    return result
+
+
+def _finish(args: argparse.Namespace, result, footer: bool = True) -> int:
+    """Write ``--out``, print the provenance footer; the exit code."""
     if args.out:
         try:
             save_artifact(result, args.out)
         except OSError as error:
             print(f"--out {args.out}: cannot write artifact ({error})",
                   file=sys.stderr)
-            return None
-    return result, sweep
-
-
-def _print_provenance(args: argparse.Namespace,
-                      result: ExperimentResult) -> None:
-    if args.out or args.from_artifact:
+            return 2
+    if footer or args.out:
         print()
-        print(format_provenance(result))
         if args.out:
             print(f"# artifact written to {args.out}")
+        print(format_provenance(result))
+    return 0
 
 
 def _cmd_sweep_alpha(args: argparse.Namespace) -> int:
@@ -246,8 +258,7 @@ def _cmd_sweep_alpha(args: argparse.Namespace) -> int:
                           for name in ("raw", "dbi-dc", "dbi-ac", "dbi-opt")},
                          title="energy per burst vs AC cost",
                          x_label="AC cost"))
-    _print_provenance(args, result)
-    return 0
+    return _finish(args, result, footer=bool(args.from_artifact))
 
 
 def _interface(name: str):
@@ -276,8 +287,7 @@ def _cmd_sweep_rate(args: argparse.Namespace) -> int:
                          title=f"normalised energy ({args.interface}, "
                                f"{args.c_load_pf:g} pF)",
                          x_label="data rate [Gbps]"))
-    _print_provenance(args, result)
-    return 0
+    return _finish(args, result, footer=bool(args.from_artifact))
 
 
 def _cmd_sweep_load(args: argparse.Namespace) -> int:
@@ -298,8 +308,7 @@ def _cmd_sweep_load(args: argparse.Namespace) -> int:
         rate, value = sweep.best_gain(load)
         print(f"{load * 1e12:.0f} pF: best saving {100 * (1 - value):.2f}% "
               f"at {rate / 1e9:.1f} Gbps")
-    _print_provenance(args, result)
-    return 0
+    return _finish(args, result, footer=bool(args.from_artifact))
 
 
 def _ctrl_trace(args: argparse.Namespace) -> Optional[dict]:
@@ -378,11 +387,8 @@ def _cmd_ctrl(args: argparse.Namespace) -> int:
     if not _check_out(args.out):
         return 2
     if args.from_artifact:
-        try:
-            result = load_replay_artifact(args.from_artifact)
-        except (OSError, ValueError, KeyError, TypeError) as error:
-            print(f"{args.from_artifact}: cannot load artifact ({error})",
-                  file=sys.stderr)
+        result = _load_result(args.from_artifact, ReplayResult)
+        if result is None:
             return 2
         spec = result.spec
         payload_bytes = int(result.provenance.get("payload_bytes",
@@ -480,22 +486,7 @@ def _cmd_ctrl(args: argparse.Namespace) -> int:
         print(markdown_table(
             ["segment", "beats", "zeros", "transitions", "energy [pJ]",
              "pJ/byte"], rows))
-    if args.out:
-        try:
-            save_replay_artifact(result, args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        print(f"\n# artifact written to {args.out}")
-    provenance = result.provenance
-    print(f"\n# backend={provenance['backend']} "
-          f"replays={provenance['replays']} "
-          f"cache_hits={provenance['cache_hits']} "
-          f"elapsed={provenance['elapsed_s']:.3f}s"
-          + (f" | loaded from {provenance['loaded_from']}"
-             if "loaded_from" in provenance else ""))
-    return 0
+    return _finish(args, result)
 
 
 def _check_out(path: Optional[str]) -> bool:
@@ -545,21 +536,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print(markdown_table(
         ["scheme", "fault rate", "injected", "bit errors", "BER",
          "beat ER", "amplification"], rows))
-    if args.out:
-        try:
-            result.save(args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        print(f"# artifact written to {args.out}")
-    provenance = result.provenance
-    print(f"\n# backend={provenance['backend']} "
-          f"word_impl={provenance['word_impl']} "
-          f"injections={provenance['injections']} "
-          f"cache_hits={provenance['cache_hits']} "
-          f"elapsed={provenance['elapsed_s']:.3f}s")
-    return 0
+    return _finish(args, result)
 
 
 def _cmd_granularity(args: argparse.Namespace) -> int:
@@ -579,20 +556,7 @@ def _cmd_granularity(args: argparse.Namespace) -> int:
         ["group size", "zeros/burst", "transitions/burst",
          f"cost (a={args.alpha:g}, b={args.beta:g})", "lines/byte lane"],
         rows))
-    if args.out:
-        try:
-            result.save(args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        print(f"# artifact written to {args.out}")
-    provenance = result.provenance
-    print(f"\n# backend={provenance['backend']} "
-          f"encodes={provenance['encodes']} "
-          f"cache_hits={provenance['cache_hits']} "
-          f"elapsed={provenance['elapsed_s']:.3f}s")
-    return 0
+    return _finish(args, result)
 
 
 def _cmd_sso(args: argparse.Namespace) -> int:
@@ -623,21 +587,7 @@ def _cmd_sso(args: argparse.Namespace) -> int:
     print(markdown_table(
         ["scheme", "interface", "max SSO", "mean SSO",
          f">{spec.threshold} lanes", "peak mA", "mean mA"], rows))
-    if args.out:
-        try:
-            result.save(args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        print(f"# artifact written to {args.out}")
-    provenance = result.provenance
-    print(f"\n# backend={provenance['backend']} "
-          f"word_impl={provenance['word_impl']} "
-          f"encodes={provenance['encodes']} "
-          f"cache_hits={provenance['cache_hits']} "
-          f"elapsed={provenance['elapsed_s']:.3f}s")
-    return 0
+    return _finish(args, result)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

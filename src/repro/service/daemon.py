@@ -68,7 +68,6 @@ from ..sim.experiments import (
     interface_replay_experiment,
     load_experiment,
     rate_experiment,
-    replay_result_to_json,
     result_to_json,
     run_experiment,
     run_replay,
@@ -241,7 +240,7 @@ class ExperimentService:
     def _op_replay(self, params: Mapping[str, object]) -> Dict[str, object]:
         spec = replay_spec_from_params(params)
         result = run_replay(spec, backend=self.backend, cache=self.cache)
-        return {"ok": True, "artifact": replay_result_to_json(result)}
+        return {"ok": True, "artifact": result_to_json(result)}
 
     def _artifact_names(self):
         if self.artifact_dir is None or not os.path.isdir(self.artifact_dir):

@@ -17,13 +17,13 @@ directory, containing the key itself (collision/corruption guard), a
     {"format": "repro.cache/1", "key": "...", "kind": "activity",
      "record": {"transitions": ..., "zeros": ..., "bursts": ...}}
 
-All four record families of the engine round-trip:
-:class:`~repro.sim.experiments.ActivityTotals` (encode entries),
-:class:`~repro.sim.experiments.ReplayTotals` (controller replays),
-:class:`~repro.extensions.reliability.FaultCoverageRow` (fault-coverage
-rows) and :class:`~repro.analysis.sso.SsoStatistics`
-(simultaneous-switching tallies; histogram keys are stringified in JSON
-and restored to ints on decode).
+``kind`` and ``record`` come from the engine's codec registry,
+:data:`repro.sim.experiments.RECORD_CODECS` — the same codecs artifacts
+use — so every cached totals type round-trips:
+:class:`~repro.sim.experiments.ActivityTotals` (``activity``),
+:class:`~repro.sim.experiments.ReplayTotals` (``replay``),
+:class:`~repro.extensions.reliability.FaultCoverageRow` (``fault``) and
+:class:`~repro.analysis.sso.SsoStatistics` (``sso``).
 
 Concurrency
 -----------
@@ -63,90 +63,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
-from ..analysis.sso import SsoStatistics
-from ..extensions.reliability import FaultCoverageRow
-from ..sim.experiments import ActivityCache, ActivityTotals, ReplayTotals
+from ..sim.experiments import RECORD_CODECS, ActivityCache, codec_for
 
 #: Identifier written into every cache entry file.
 CACHE_FORMAT = "repro.cache/1"
 
 #: Environment variable selecting the shared cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-
-# -- record (de)serialisation ------------------------------------------------
-
-def encode_record(totals) -> Tuple[str, Dict[str, object]]:
-    """``(kind, JSON record)`` for any cached-totals value."""
-    if isinstance(totals, ActivityTotals):
-        return "activity", {"transitions": totals.transitions,
-                            "zeros": totals.zeros,
-                            "bursts": totals.bursts}
-    if isinstance(totals, ReplayTotals):
-        record: Dict[str, object] = {
-            "transactions": totals.transactions,
-            "bytes_written": totals.bytes_written,
-            "beats": totals.beats,
-            "channels": [list(channel) for channel in totals.channels]}
-        if totals.segments:
-            # Adaptive replays only; absent for fixed-point entries, so
-            # pre-existing cache files keep decoding (and re-encoding a
-            # fixed-point entry reproduces the old bytes exactly).
-            record["segments"] = [list(segment)
-                                  for segment in totals.segments]
-        return "replay", record
-    if isinstance(totals, FaultCoverageRow):
-        return "fault", {"rate": totals.rate,
-                         "injected_faults": totals.injected_faults,
-                         "total_beats": totals.total_beats,
-                         "bit_errors": totals.bit_errors,
-                         "corrupted_beats": totals.corrupted_beats,
-                         "dbi_lane_faults": totals.dbi_lane_faults}
-    if isinstance(totals, SsoStatistics):
-        return "sso", {"beats": totals.beats,
-                       "max_switching": totals.max_switching,
-                       "total_switching": totals.total_switching,
-                       "histogram": {str(k): count for k, count
-                                     in sorted(totals.histogram.items())}}
-    raise TypeError(f"cannot persist cache record of type "
-                    f"{type(totals).__name__}")
-
-
-def decode_record(kind: str, record: Dict[str, object]):
-    """Inverse of :func:`encode_record`."""
-    if kind == "activity":
-        return ActivityTotals(transitions=int(record["transitions"]),
-                              zeros=int(record["zeros"]),
-                              bursts=int(record["bursts"]))
-    if kind == "replay":
-        return ReplayTotals(
-            transactions=int(record["transactions"]),
-            bytes_written=int(record["bytes_written"]),
-            beats=int(record["beats"]),
-            channels=tuple(tuple(int(value) for value in channel)
-                           for channel in record["channels"]),
-            segments=tuple(
-                (str(label), int(zeros), int(transitions), int(beats))
-                for label, zeros, transitions, beats
-                in record.get("segments", ())))
-    if kind == "fault":
-        return FaultCoverageRow(
-            rate=float(record["rate"]),
-            injected_faults=int(record["injected_faults"]),
-            total_beats=int(record["total_beats"]),
-            bit_errors=int(record["bit_errors"]),
-            corrupted_beats=int(record["corrupted_beats"]),
-            dbi_lane_faults=int(record["dbi_lane_faults"]))
-    if kind == "sso":
-        return SsoStatistics(
-            beats=int(record["beats"]),
-            max_switching=int(record["max_switching"]),
-            total_switching=int(record["total_switching"]),
-            histogram={int(k): int(count) for k, count
-                       in record["histogram"].items()})
-    raise ValueError(f"unknown cache record kind {kind!r}")
 
 
 # -- the disk tier -----------------------------------------------------------
@@ -233,8 +158,8 @@ class DiskActivityCache(ActivityCache):
             self._quarantine(path)
             return None
         try:
-            totals = decode_record(payload["kind"], payload["record"])
-        except (ValueError, KeyError, TypeError):
+            totals = RECORD_CODECS[payload["kind"]].decode(payload["record"])
+        except (ValueError, KeyError, TypeError, AttributeError):
             self._quarantine(path)
             return None
         self._totals[key] = totals
@@ -254,12 +179,12 @@ class DiskActivityCache(ActivityCache):
         os.replace(temp, path)
 
     def store(self, key: str, totals) -> None:
-        kind, record = encode_record(totals)
+        codec = codec_for(totals)
         self._totals[key] = totals
         if self._disk_disabled:
             return  # degraded: memory-only tier keeps serving
-        payload = {"format": CACHE_FORMAT, "key": key, "kind": kind,
-                   "record": record}
+        payload = {"format": CACHE_FORMAT, "key": key, "kind": codec.kind,
+                   "record": codec.encode(totals)}
         path = self._path(key)
         # Unique temp name per writer: atomic publish via os.replace.
         temp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"

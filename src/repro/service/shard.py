@@ -285,6 +285,8 @@ def _load_checkpoint(path: str,
         except OSError:
             pass
         return None
+    if not isinstance(result, ExperimentResult):
+        return None
     tag = result.spec.figure_params.get("shard")
     expected = shard.figure_params["shard"]
     if not isinstance(tag, dict):

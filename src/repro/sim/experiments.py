@@ -1,62 +1,43 @@
-"""Declarative experiment engine behind every figure sweep.
+"""Declarative experiment engine: five axes, one executor, one codec.
 
-The paper's figures are all the same computation — encode a burst
-population under each scheme, then price the (transitions, zeros) totals
-under a grid of operating points.  This module makes that shape explicit:
+Every experiment here has one shape: plan the unique pieces of integer
+work a spec needs, serve what a cache already holds, compute only the
+rest, then price the exact totals into the axis's output.  The module
+makes that shape explicit:
 
-* :class:`ExperimentSpec` — schemes × operating-point grid × population
-  source, declared up front (the declarative parameter-sweep style);
-* :class:`ActivityCache` — content-addressed totals store keyed by
-  *scheme fingerprint + population digest*, so RAW/DC/AC/OPT (Fixed)
-  encode exactly once per experiment and OPT re-encodes only when the
-  alpha/beta *ratio* actually changes across grid points;
-* :func:`run_experiment` — the executor: plans the unique encode tasks,
-  runs them serially or on a process pool (``jobs``), merges in
-  deterministic declaration order, and prices every grid cell from the
-  cached totals (the per-cell :class:`~repro.phy.power.InterfaceEnergyModel`
-  coefficients are hoisted into the grid at spec-build time);
-* :func:`save_artifact` / :func:`load_artifact` — JSON persistence of
-  spec + results + provenance, so figures re-render without simulating.
+* **Specs** — frozen declarations of one run per axis:
+  :class:`ExperimentSpec` (Figs. 3/4, 7 and 8: scheme slots × operating
+  grid × burst population; built by :func:`alpha_experiment`,
+  :func:`rate_experiment` and :func:`load_experiment`),
+  :class:`ReplaySpec` (a byte trace through the multi-channel write path
+  of :class:`~repro.ctrl.controller.MemoryController` at electrical
+  operating points, optionally under a DVFS schedule or online
+  tracking), :class:`FaultSpec` (mask-parallel fault injection across a
+  rate grid), :class:`GranularitySpec` (the grouped-DBI ablation) and
+  :class:`SsoSpec` (simultaneous-switching tallies priced per interface
+  preset).
+* **One executor** — every ``run_*`` function binds its axis to
+  :func:`_run_axis`.  The axis supplies its unique cache keys in
+  declaration order, a ``compute`` for the missing ones and an
+  ``assemble`` that prices the totals; the executor owns hit/miss
+  accounting, the stores and the common provenance block.  ``jobs > 1``
+  fans figure encodes and inline replays out to a process pool, merged
+  in declaration order, so results are bit-identical to a serial run.
+* :class:`ActivityCache` — the content-addressed store every axis
+  shares.  Keys bind a scheme fingerprint (or controller geometry and
+  cost ratio) to a population (or trace) digest, so two requests that
+  provably produce the same totals collapse to one entry: RAW/DC/AC/OPT
+  (Fixed) encode once per experiment, OPT re-encodes only when the
+  alpha/beta *ratio* moves, SSTL and LVSTL replays coincide.
+* **One record codec** — :data:`RECORD_CODECS` holds the JSON form of
+  each cached totals type, shared by the disk tier
+  (:mod:`repro.service.diskcache`) and by artifacts.
+* **One artifact pair** — :func:`save_artifact` / :func:`load_artifact`
+  persist any result as a ``repro.experiment/1`` document discriminated
+  by ``kind``, so every axis re-renders without simulating.
 
-Three spec builders (:func:`alpha_experiment`, :func:`rate_experiment`,
-:func:`load_experiment`) reproduce Figs. 3/4, 7 and 8; the legacy
-functions in :mod:`repro.sim.sweep` are thin wrappers over them with
-bit-identical results.
-
-Since PR 5 the engine has a second experiment axis, **controller
-replay**: :class:`ReplaySpec` drives a byte payload (a
-:mod:`repro.workloads.traces` class, a memory dump, ...) through the
-multi-channel write path of :class:`repro.ctrl.controller.MemoryController`
-at a grid of electrical operating points
-(:class:`ReplayPoint` — interface preset × data rate × load), with the
-same ``backend=`` / ``jobs=`` / ``cache=`` machinery:
-:func:`run_replay` deduplicates replays by the controller's *cost-model
-ratio* (operating points whose differential alpha/beta ratio coincides —
-e.g. SSTL and LVSTL, both transition-only — replay once) and prices
-per-channel energy from the cached integer tallies.
-
-PR 6 adds two more axes with the same cache discipline and the same
-``repro.experiment/1`` artifact format (discriminated by a ``kind``
-field):
-
-* **reliability** — :class:`FaultSpec` / :func:`run_faults` injects the
-  mask-parallel fault engine of :mod:`repro.extensions.reliability`
-  across a scheme × fault-rate grid, one cached coverage row per
-  (scheme fingerprint, rate, seed, population digest);
-* **granularity** — :class:`GranularitySpec` / :func:`run_granularity`
-  runs the grouped-DBI ablation of :mod:`repro.extensions.granularity`
-  over a grid of group sizes, sharing encode entries with figure sweeps
-  through the grouped scheme's ratio-keyed fingerprint.
-
-PR 8 adds **simultaneous switching** as a fifth axis: :class:`SsoSpec` /
-:func:`run_sso` tallies per-beat switching histograms with the
-word-parallel engine of :mod:`repro.analysis.sso`
-(:func:`~repro.analysis.sso.sso_of_scheme_batch`), one cached
-:class:`~repro.analysis.sso.SsoStatistics` per (scheme fingerprint,
-chained flag, population digest), then prices peak/mean supply-current
-proxies for every electrical interface preset — interfaces enter only at
-pricing, so one encode serves the whole interface column, mirroring the
-fault axis.
+The legacy figure functions in :mod:`repro.sim.sweep` are thin wrappers
+over the figure specs with bit-identical results.
 
 Pricing is the linear form shared by the abstract cost model and the
 physical energy model: ``alpha`` per transition, ``beta`` per zero.  Two
@@ -73,8 +54,10 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from ..baselines import DbiAc, DbiDc, Raw
 from ..core.bitops import WORD_WIDTH
@@ -197,8 +180,8 @@ def population_activity(scheme: DbiScheme, population,
 class ActivityCache:
     """Content-addressed store of activity-totals records.
 
-    Two families of entries share the store, distinguishable by key
-    shape; both key halves identify *content*, not object identity, so
+    Every axis stores its entries here, distinguishable by key shape;
+    both key halves identify *content*, not object identity, so
     any two requests that provably produce the same totals collapse to
     one entry:
 
@@ -207,11 +190,13 @@ class ActivityCache:
       (Fixed) and the tracking OPT slot at AC fraction 0.5 share one);
     * controller-replay entries — :meth:`ReplaySpec.replay_key` strings
       mapping to :class:`ReplayTotals` (operating points with one
-      differential cost ratio share one).
+      differential cost ratio share one);
+    * fault-coverage rows and SSO statistics, keyed by
+      :meth:`FaultSpec.coverage_key` / :meth:`SsoSpec.sso_key`.
 
-    ``hits`` and ``misses`` count unique key lookups per
-    :func:`run_experiment` / :func:`run_replay` plan; ``misses`` equals
-    the number of encodes/replays actually executed.
+    ``hits`` and ``misses`` count each run's *unique* keys (every axis
+    plans through :func:`_run_axis`), so per run ``hits + misses`` is the
+    number of distinct keys and ``misses`` the computations executed.
     """
 
     def __init__(self) -> None:
@@ -289,7 +274,106 @@ def shared_cache() -> ActivityCache:
     return _SHARED_CACHE
 
 
-# -- the spec ----------------------------------------------------------------
+# -- the executor ------------------------------------------------------------
+
+def _run_axis(counter: str, planned: Mapping[str, object],
+              compute: Callable[[List[Tuple[str, object]]],
+                                Iterable[Tuple[str, "CachedTotals"]]],
+              assemble: Callable[[Dict[str, "CachedTotals"]], "_Result"],
+              cache: Optional[ActivityCache], backend: str,
+              extra: Mapping[str, object]) -> "_Result":
+    """The run/cache path every ``run_*`` axis binds to.
+
+    ``planned`` maps each unique cache key, in declaration order, to the
+    task that computes it.  Keys already in ``cache`` count as hits; the
+    rest count as misses and go to ``compute(missing)``, which yields
+    ``(key, totals)`` pairs to store.  ``assemble`` prices the planned
+    totals into a result, whose provenance this function then fills:
+    ``backend``, the axis's work ``counter`` (``encodes``/``replays``/
+    ``injections``), ``cache_hits``/``cache_misses``, the axis's
+    ``extra`` keys and the run environment.  ``cache`` defaults to a
+    fresh :class:`ActivityCache`.
+    """
+    start = time.perf_counter()
+    if cache is None:
+        cache = ActivityCache()
+    missing = []
+    for key, task in planned.items():
+        if key in cache:
+            cache.hits += 1
+        else:
+            cache.misses += 1
+            missing.append((key, task))
+    # A fully warm run never reaches compute, so it never touches the
+    # population or trace (render-only specs re-render from the cache).
+    if missing:
+        for key, totals in compute(missing):
+            cache.store(key, totals)
+    result = assemble({key: cache.get(key) for key in planned})
+    from .. import __version__
+
+    result.provenance = {
+        "backend": backend,
+        counter: len(missing),
+        "cache_hits": len(planned) - len(missing),
+        "cache_misses": len(missing),
+        **extra,
+        "elapsed_s": time.perf_counter() - start,
+        "python": platform.python_version(),
+        "created_unix": time.time(),
+        "repro_version": __version__,
+    }
+    return result
+
+
+#: Worker-process state: the spec ships once per worker via the pool
+#: initializer instead of once per task, so explicit in-memory
+#: populations and inline payloads don't pay a per-task pickling cost.
+_WORKER_SPEC = None
+
+
+def _pool_initializer(spec) -> None:
+    global _WORKER_SPEC
+    _WORKER_SPEC = spec
+
+
+def _in_worker(run, task):
+    return run(_WORKER_SPEC, task)
+
+
+def _compute_all(spec, missing: List[Tuple[str, object]], run,
+                 jobs: int) -> Iterable[Tuple[str, "CachedTotals"]]:
+    """Yield ``(key, run(spec, task))`` for every missing task.
+
+    ``jobs > 1`` with several tasks fans them out to a process pool
+    (``run`` must pickle); results merge in submission (declaration)
+    order, not completion order, so the cache fill is deterministic.
+    """
+    if jobs == 1 or len(missing) == 1:
+        for key, task in missing:
+            yield key, run(spec, task)
+        return
+    # jobs is an explicit request — honour it (capped by the task count);
+    # over-subscribing cores costs little here.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(missing)),
+                             initializer=_pool_initializer,
+                             initargs=(spec,)) as pool:
+        futures = [pool.submit(_in_worker, run, task)
+                   for __, task in missing]
+        for (key, __), future in zip(missing, futures):
+            yield key, future.result()
+
+
+class _Result:
+    """Behaviour shared by every axis's result dataclass."""
+
+    provenance: Dict[str, object]
+
+    def save(self, path) -> None:
+        save_artifact(self, path)
+
+
+# -- the figure axis ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class GridPoint:
@@ -380,10 +464,8 @@ class ExperimentSpec:
             raise ValueError(f"duplicate slot names in {names}")
 
 
-# -- the executor ------------------------------------------------------------
-
 @dataclass
-class ExperimentResult:
+class ExperimentResult(_Result):
     """Everything :func:`run_experiment` produced for one spec.
 
     ``series`` maps slot name → priced mean value per grid point (in grid
@@ -394,10 +476,7 @@ class ExperimentResult:
     spec: ExperimentSpec
     series: Dict[str, List[float]]
     totals: Dict[str, ActivityTotals]
-    provenance: Dict[str, object]
-
-    def save(self, path) -> None:
-        save_artifact(self, path)
+    provenance: Dict[str, object] = field(default_factory=dict)
 
 
 def _price_cell(totals: ActivityTotals, point: GridPoint,
@@ -409,23 +488,11 @@ def _price_cell(totals: ActivityTotals, point: GridPoint,
             + totals.transitions * point.alpha) / totals.bursts
 
 
-#: Worker-process state: the population is shipped once per worker via
-#: the pool initializer instead of once per task, so explicit in-memory
-#: populations don't pay a per-task pickling cost.
-_WORKER_POPULATION: Optional[BurstPopulation] = None
-
-
-def _pool_initializer(population: BurstPopulation) -> None:
-    global _WORKER_POPULATION
-    _WORKER_POPULATION = population
-
-
-def _encode_task(scheme: DbiScheme, backend: Optional[str],
-                 chunk_size: int) -> Tuple[int, int, int]:
-    """Process-pool payload: one population encode, returned as ints."""
-    totals = population_activity(scheme, _WORKER_POPULATION, backend=backend,
-                                 chunk_size=chunk_size)
-    return totals.transitions, totals.zeros, totals.bursts
+def _encode_task(spec: ExperimentSpec, scheme: DbiScheme,
+                 backend: Optional[str], chunk_size: int) -> ActivityTotals:
+    """One population encode (also the process-pool payload)."""
+    return population_activity(scheme, spec.population, backend=backend,
+                               chunk_size=chunk_size)
 
 
 def run_experiment(spec: ExperimentSpec, backend: Optional[str] = None,
@@ -443,84 +510,34 @@ def run_experiment(spec: ExperimentSpec, backend: Optional[str] = None,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     resolved = resolve_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-
-    # Plan: one cache key per (slot, relevant point), deduplicated in
-    # declaration order.  Static slots contribute a single key; tracking
-    # slots contribute one key per *distinct ratio fingerprint*.
-    cell_keys: Dict[Tuple[str, int], str] = {}
-    needed: Dict[str, DbiScheme] = {}
+    # One cache key per (slot, relevant point): static slots contribute a
+    # single key, tracking slots one per distinct ratio fingerprint.
+    planned: Dict[str, DbiScheme] = {}
+    cell_keys: Dict[str, List[str]] = {}
     for slot in spec.slots:
-        for index, point in enumerate(spec.grid):
-            if not slot.tracks_point and index > 0:
-                cell_keys[(slot.name, index)] = cell_keys[(slot.name, 0)]
-                continue
+        keys = []
+        for point in spec.grid if slot.tracks_point else spec.grid[:1]:
             scheme = slot.resolve(point)
-            key = cache.key_for(scheme, spec.population)
-            cell_keys[(slot.name, index)] = key
-            if key not in needed:
-                needed[key] = scheme
+            keys.append(ActivityCache.key_for(scheme, spec.population))
+            planned.setdefault(keys[-1], scheme)
+        cell_keys[slot.name] = (keys if slot.tracks_point
+                                else keys * len(spec.grid))
 
-    todo: List[Tuple[str, DbiScheme]] = []
-    for key, scheme in needed.items():
-        if key in cache:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            todo.append((key, scheme))
+    def assemble(totals: Dict[str, ActivityTotals]) -> ExperimentResult:
+        series = {slot.name: [_price_cell(totals[key], point, spec.pricing)
+                              for key, point in zip(cell_keys[slot.name],
+                                                    spec.grid)]
+                  for slot in spec.slots}
+        return ExperimentResult(spec=spec, series=series, totals=totals)
 
-    if todo:
-        if jobs == 1 or len(todo) == 1:
-            for key, scheme in todo:
-                cache.store(key, population_activity(
-                    scheme, spec.population, backend=resolved,
-                    chunk_size=chunk_size))
-        else:
-            # jobs is an explicit request — honour it (capped by the
-            # task count); over-subscribing cores costs little here.
-            workers = min(jobs, len(todo))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_pool_initializer,
-                                     initargs=(spec.population,)) as pool:
-                futures = [pool.submit(_encode_task, scheme, resolved,
-                                       chunk_size)
-                           for __, scheme in todo]
-                # Merge in submission (declaration) order, not completion
-                # order, so the cache fill is deterministic.
-                for (key, __), future in zip(todo, futures):
-                    transitions, zeros, bursts = future.result()
-                    cache.store(key, ActivityTotals(
-                        transitions=transitions, zeros=zeros, bursts=bursts))
-
-    series: Dict[str, List[float]] = {}
-    for slot in spec.slots:
-        series[slot.name] = [
-            _price_cell(cache.get(cell_keys[(slot.name, index)]), point,
-                        spec.pricing)
-            for index, point in enumerate(spec.grid)
-        ]
-
-    provenance = {
-        "backend": resolved,
-        "jobs": jobs,
-        "encodes": len(todo),
-        "cache_hits": len(needed) - len(todo),
-        "cache_misses": len(todo),
-        "grid_cells": len(spec.grid),
-        "population": spec.population.digest(),
-        "population_bursts": len(spec.population),
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
-    }
-    from .. import __version__
-
-    provenance["repro_version"] = __version__
-    totals = {key: cache.get(key) for key in needed}
-    return ExperimentResult(spec=spec, series=series, totals=totals,
-                            provenance=provenance)
+    run = partial(_encode_task, backend=resolved, chunk_size=chunk_size)
+    return _run_axis(
+        "encodes", planned,
+        lambda missing: _compute_all(spec, missing, run, jobs), assemble,
+        cache, resolved,
+        {"jobs": jobs, "grid_cells": len(spec.grid),
+         "population": spec.population.digest(),
+         "population_bursts": len(spec.population)})
 
 
 # -- figure spec builders ----------------------------------------------------
@@ -835,7 +852,7 @@ CachedTotals = Union[ActivityTotals, ReplayTotals, FaultCoverageRow]
 
 
 @dataclass
-class ReplayResult:
+class ReplayResult(_Result):
     """Everything :func:`run_replay` produced for one spec.
 
     ``series`` maps point label → priced energies; ``totals`` keeps the
@@ -847,7 +864,7 @@ class ReplayResult:
     spec: ReplaySpec
     series: Dict[str, Dict[str, object]]
     totals: Dict[str, ReplayTotals]
-    provenance: Dict[str, object]
+    provenance: Dict[str, object] = field(default_factory=dict)
     point_keys: Dict[str, str] = field(default_factory=dict)
 
     def totals_for(self, label: str) -> ReplayTotals:
@@ -855,8 +872,35 @@ class ReplayResult:
         return self.totals[self.point_keys[label]]
 
 
-def _totals_of(controller: MemoryController,
-               stats) -> ReplayTotals:
+def _replay_task(spec: ReplaySpec, model: Optional[CostModel],
+                 backend: str) -> ReplayTotals:
+    """One full pass of the spec's trace through the write path.
+
+    ``model`` fixes the cost model; ``None`` replays under the spec's
+    schedule or tracking axis instead.  Inline payloads of fixed-point
+    replays are submitted whole, everything else streams through
+    :meth:`~repro.ctrl.controller.MemoryController.submit_source` —
+    bit-identical on the same bytes, because the lane encoders' pending
+    state depends only on cumulative pushed bytes, never on how
+    submissions were chunked (``tests/ctrl/test_chunk_seams.py``).
+    """
+    if model is not None:
+        setting = {"model": model}
+    elif spec.schedule is not None:
+        setting = {"schedule": spec.schedule}
+    else:
+        setting = {"tracker": spec.tracking.build()}
+    controller = MemoryController(channels=spec.channels,
+                                  byte_lanes=spec.byte_lanes,
+                                  window=spec.window,
+                                  line_bytes=spec.line_bytes,
+                                  backend=backend, **setting)
+    if model is None or spec.source is not None:
+        controller.submit_source(spec.trace_source())
+    else:
+        controller.submit(transactions_from_bytes(spec.payload,
+                                                  spec.line_bytes))
+    stats = controller.flush()
     per_channel = tuple(
         (merged.zeros, merged.transitions, merged.beats)
         for merged in (controller.channel_statistics(channel)
@@ -868,65 +912,6 @@ def _totals_of(controller: MemoryController,
                         bytes_written=stats.bytes_written,
                         beats=stats.beats, channels=per_channel,
                         segments=segments)
-
-
-def _execute_replay(payload: bytes, model: CostModel, channels: int,
-                    byte_lanes: int, window: int, line_bytes: int,
-                    backend: str) -> ReplayTotals:
-    """One full one-shot pass of a payload through the write path."""
-    controller = MemoryController(channels=channels, byte_lanes=byte_lanes,
-                                  model=model, window=window,
-                                  line_bytes=line_bytes, backend=backend)
-    controller.submit(transactions_from_bytes(payload, line_bytes))
-    return _totals_of(controller, controller.flush())
-
-
-def _execute_replay_stream(source, model: CostModel, channels: int,
-                           byte_lanes: int, window: int, line_bytes: int,
-                           backend: str) -> ReplayTotals:
-    """One full streaming pass of a trace source through the write path.
-
-    Bit-identical to :func:`_execute_replay` on the same bytes — the
-    lane encoders' pending state depends only on cumulative pushed
-    bytes, never on how submissions were chunked (the chunk-seam
-    invariant ``tests/ctrl/test_chunk_seams.py`` enforces).
-    """
-    controller = MemoryController(channels=channels, byte_lanes=byte_lanes,
-                                  model=model, window=window,
-                                  line_bytes=line_bytes, backend=backend)
-    controller.submit_source(source)
-    return _totals_of(controller, controller.flush())
-
-
-def _execute_adaptive_replay(spec: "ReplaySpec",
-                             backend: str) -> ReplayTotals:
-    """One streaming pass under the spec's schedule or tracking axis."""
-    adaptive = ({"schedule": spec.schedule}
-                if spec.schedule is not None
-                else {"tracker": spec.tracking.build()})
-    controller = MemoryController(channels=spec.channels,
-                                  byte_lanes=spec.byte_lanes,
-                                  window=spec.window,
-                                  line_bytes=spec.line_bytes,
-                                  backend=backend, **adaptive)
-    controller.submit_source(spec.trace_source())
-    return _totals_of(controller, controller.flush())
-
-
-#: Worker-process state, mirroring the population initializer: the
-#: payload ships once per worker, tasks carry only scalars.
-_WORKER_PAYLOAD: Optional[bytes] = None
-
-
-def _replay_pool_initializer(payload: bytes) -> None:
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
-
-
-def _replay_task(alpha: float, beta: float, channels: int, byte_lanes: int,
-                 window: int, line_bytes: int, backend: str) -> ReplayTotals:
-    return _execute_replay(_WORKER_PAYLOAD, CostModel(alpha, beta), channels,
-                           byte_lanes, window, line_bytes, backend)
 
 
 def _price_replay(totals: ReplayTotals,
@@ -989,107 +974,54 @@ def run_replay(spec: ReplaySpec, backend: Optional[str] = None,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     resolved = resolve_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-
     point_keys: Dict[str, str] = {}
-    needed: Dict[str, CostModel] = {}
+    # Each unique key's cost model; ``None`` marks the adaptive replay.
+    planned: Dict[str, Optional[CostModel]] = {}
     for point in spec.points:
         model = point.energy_model().cost_model()
-        key = spec.replay_key(model)
-        point_keys[point.label] = key
-        if key not in needed:
-            needed[key] = model
-    adaptive_key: Optional[str] = None
+        point_keys[point.label] = spec.replay_key(model)
+        planned.setdefault(point_keys[point.label], model)
     if spec.adaptive_label is not None:
-        adaptive_key = spec.adaptive_key()
-        point_keys[spec.adaptive_label] = adaptive_key
+        point_keys[spec.adaptive_label] = spec.adaptive_key()
+        planned[spec.adaptive_key()] = None
 
-    todo: List[Tuple[str, CostModel]] = []
-    for key, model in needed.items():
-        if key in cache:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            todo.append((key, model))
-    adaptive_todo = False
-    if adaptive_key is not None:
-        if adaptive_key in cache:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            adaptive_todo = True
+    def compute(missing):
+        if getattr(spec, "_render_only", False):
+            raise RuntimeError(
+                f"replay spec {spec.name!r} was loaded from an artifact "
+                "without its trace and cannot re-execute; pass a cache "
+                "holding its totals, or re-run with the original trace "
+                f"(missing: {[key for key, __ in missing]})")
+        return _compute_all(spec, missing,
+                            partial(_replay_task, backend=resolved),
+                            jobs if spec.source is None else 1)
 
-    if (todo or adaptive_todo) and getattr(spec, "_render_only", False):
-        missing = [key for key, __ in todo]
-        if adaptive_todo:
-            missing.append(adaptive_key)
-        raise RuntimeError(
-            f"replay spec {spec.name!r} was loaded from an artifact "
-            "without its trace and cannot re-execute; pass a cache "
-            "holding its totals, or re-run with the original trace "
-            f"(missing: {missing})")
+    def assemble(totals: Dict[str, ReplayTotals]) -> ReplayResult:
+        series = {
+            point.label: _price_replay(totals[point_keys[point.label]],
+                                       point.energy_model())
+            for point in spec.points
+        }
+        if spec.adaptive_label is not None:
+            axis = (spec.schedule if spec.schedule is not None
+                    else spec.tracking)
+            series[spec.adaptive_label] = _price_adaptive(
+                totals[point_keys[spec.adaptive_label]],
+                axis.points_by_label())
+        return ReplayResult(spec=spec, series=series, totals=totals,
+                            point_keys=point_keys)
 
-    if todo:
-        if spec.source is not None:
-            for key, model in todo:
-                cache.store(key, _execute_replay_stream(
-                    spec.source, model, spec.channels, spec.byte_lanes,
-                    spec.window, spec.line_bytes, resolved))
-        elif jobs == 1 or len(todo) == 1:
-            for key, model in todo:
-                cache.store(key, _execute_replay(
-                    spec.payload, model, spec.channels, spec.byte_lanes,
-                    spec.window, spec.line_bytes, resolved))
-        else:
-            workers = min(jobs, len(todo))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_replay_pool_initializer,
-                                     initargs=(spec.payload,)) as pool:
-                futures = [pool.submit(_replay_task, model.alpha, model.beta,
-                                       spec.channels, spec.byte_lanes,
-                                       spec.window, spec.line_bytes, resolved)
-                           for __, model in todo]
-                for (key, __), future in zip(todo, futures):
-                    cache.store(key, future.result())
-    if adaptive_todo:
-        cache.store(adaptive_key, _execute_adaptive_replay(spec, resolved))
-
-    series = {
-        point.label: _price_replay(cache.get(point_keys[point.label]),
-                                   point.energy_model())
-        for point in spec.points
-    }
-    if spec.adaptive_label is not None:
-        axis = spec.schedule if spec.schedule is not None else spec.tracking
-        series[spec.adaptive_label] = _price_adaptive(
-            cache.get(adaptive_key), axis.points_by_label())
-    replays = len(todo) + (1 if adaptive_todo else 0)
-    planned = len(needed) + (1 if adaptive_key is not None else 0)
-    provenance = {
-        "backend": resolved,
+    extra: Dict[str, object] = {
         "jobs": jobs,
-        "replays": replays,
-        "cache_hits": planned - replays,
-        "cache_misses": replays,
         "points": len(spec.points),
         "payload": spec.payload_digest(),
         "payload_bytes": spec.trace_bytes_total(),
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
     }
     if spec.source is not None:
-        provenance["streamed"] = True
-        provenance["chunk_bytes"] = spec.effective_chunk_bytes()
-        provenance["source"] = spec.source.describe()
-    from .. import __version__
-
-    provenance["repro_version"] = __version__
-    totals = {key: cache.get(key) for key in point_keys.values()}
-    return ReplayResult(spec=spec, series=series, totals=totals,
-                        provenance=provenance, point_keys=point_keys)
+        extra.update(streamed=True, chunk_bytes=spec.effective_chunk_bytes(),
+                     source=spec.source.describe())
+    return _run_axis("replays", planned, compute, assemble, cache, resolved,
+                     extra)
 
 
 def interface_replay_experiment(payload: bytes,
@@ -1158,21 +1090,15 @@ class FaultSpec:
 
 
 def _coverage_row_json(row: FaultCoverageRow) -> Dict[str, object]:
-    return {
-        "rate": row.rate,
-        "injected_faults": row.injected_faults,
-        "total_beats": row.total_beats,
-        "bit_errors": row.bit_errors,
-        "corrupted_beats": row.corrupted_beats,
-        "dbi_lane_faults": row.dbi_lane_faults,
-        "bit_error_rate": row.bit_error_rate,
-        "beat_error_rate": row.beat_error_rate,
-        "amplification": row.amplification,
-    }
+    """A coverage row as its cache record plus the derived rates."""
+    return {**RECORD_CODECS["fault"].encode(row),
+            "bit_error_rate": row.bit_error_rate,
+            "beat_error_rate": row.beat_error_rate,
+            "amplification": row.amplification}
 
 
 @dataclass
-class FaultResult:
+class FaultResult(_Result):
     """Everything :func:`run_faults` produced for one spec.
 
     ``series`` maps slot name → coverage rows (dicts, rate order, the
@@ -1184,10 +1110,7 @@ class FaultResult:
     spec: FaultSpec
     series: Dict[str, List[Dict[str, object]]]
     totals: Dict[str, FaultCoverageRow]
-    provenance: Dict[str, object]
-
-    def save(self, path) -> None:
-        save_fault_artifact(self, path)
+    provenance: Dict[str, object] = field(default_factory=dict)
 
 
 def run_faults(spec: FaultSpec, backend: Optional[str] = None,
@@ -1195,66 +1118,48 @@ def run_faults(spec: FaultSpec, backend: Optional[str] = None,
                word_impl: str = "auto") -> FaultResult:
     """Execute a fault spec: plan unique coverage rows, inject, tally.
 
-    Mirrors :func:`run_replay`'s cache discipline: rows are deduplicated
-    by :meth:`FaultSpec.coverage_key` (two slots with equal fingerprints
-    share every row), only the missing rates of a slot are injected, and
-    the result is bit-identical across backends and word implementations
-    (there is no ``jobs``: the vector engine is already mask-parallel).
-    ``backend`` follows :func:`repro.hw.bitsim.resolve_sim_backend` —
-    ``auto`` resolves to the mask-parallel engine even without NumPy.
+    Rows are deduplicated by :meth:`FaultSpec.coverage_key` (two slots
+    with equal fingerprints share every row), only the missing rows are
+    injected, and the result is bit-identical across backends and word
+    implementations (there is no ``jobs``: the vector engine is already
+    mask-parallel).  ``backend`` follows
+    :func:`repro.hw.bitsim.resolve_sim_backend` — ``auto`` resolves to
+    the mask-parallel engine even without NumPy.
     """
     from ..hw.bitsim import resolve_sim_backend
 
     resolved = resolve_sim_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-    bursts = spec.population.bursts()
-    executed = 0
-    hits = 0
-    series: Dict[str, List[Dict[str, object]]] = {}
-    keys_seen: Dict[str, None] = {}
-    for slot_name, scheme in spec.slots:
-        keys = {rate: spec.coverage_key(scheme, rate) for rate in spec.rates}
-        missing: List[float] = []
-        for rate in spec.rates:
-            keys_seen.setdefault(keys[rate])
-            if keys[rate] in cache:
-                cache.hits += 1
-                hits += 1
-            else:
-                cache.misses += 1
-                missing.append(rate)
-        if missing:
-            rows = fault_coverage_curve(scheme, bursts, rates=missing,
-                                        seed=spec.seed, backend=resolved,
-                                        word_impl=word_impl)
-            for rate, row in zip(missing, rows):
-                cache.store(keys[rate], row)
-            executed += len(missing)
-        series[slot_name] = [_coverage_row_json(cache.get(keys[rate]))
-                             for rate in spec.rates]
+    planned = {spec.coverage_key(scheme, rate): (scheme, rate)
+               for __, scheme in spec.slots for rate in spec.rates}
 
-    provenance = {
-        "backend": resolved,
-        "word_impl": word_impl,
-        "injections": executed,
-        "cache_hits": hits,
-        "cache_misses": executed,
-        "rates": len(spec.rates),
-        "seed": spec.seed,
-        "population": spec.population.digest(),
-        "population_bursts": len(spec.population),
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
-    }
-    from .. import __version__
+    def compute(missing):
+        # One injection pass per scheme: every rate draws its own mask
+        # stream, so grouping rates never changes a row.
+        bursts = spec.population.bursts()
+        groups: Dict[str, Tuple[DbiScheme, List[Tuple[str, float]]]] = {}
+        for key, (scheme, rate) in missing:
+            groups.setdefault(scheme.fingerprint(),
+                              (scheme, []))[1].append((key, rate))
+        for scheme, todo in groups.values():
+            rows = fault_coverage_curve(
+                scheme, bursts, rates=[rate for __, rate in todo],
+                seed=spec.seed, backend=resolved, word_impl=word_impl)
+            for (key, __), row in zip(todo, rows):
+                yield key, row
 
-    provenance["repro_version"] = __version__
-    totals = {key: cache.get(key) for key in keys_seen}
-    return FaultResult(spec=spec, series=series, totals=totals,
-                       provenance=provenance)
+    def assemble(totals: Dict[str, FaultCoverageRow]) -> FaultResult:
+        series = {slot_name: [_coverage_row_json(
+                      totals[spec.coverage_key(scheme, rate)])
+                      for rate in spec.rates]
+                  for slot_name, scheme in spec.slots}
+        return FaultResult(spec=spec, series=series, totals=totals)
+
+    return _run_axis("injections", planned, compute, assemble, cache,
+                     resolved,
+                     {"word_impl": word_impl, "rates": len(spec.rates),
+                      "seed": spec.seed,
+                      "population": spec.population.digest(),
+                      "population_bursts": len(spec.population)})
 
 
 def fault_experiment(population,
@@ -1304,7 +1209,7 @@ class GranularitySpec:
 
 
 @dataclass
-class GranularityResult:
+class GranularityResult(_Result):
     """Everything :func:`run_granularity` produced for one spec.
 
     ``rows`` matches :func:`repro.extensions.granularity
@@ -1315,10 +1220,7 @@ class GranularityResult:
     spec: GranularitySpec
     rows: List[Dict[str, object]]
     totals: Dict[str, ActivityTotals]
-    provenance: Dict[str, object]
-
-    def save(self, path) -> None:
-        save_granularity_artifact(self, path)
+    provenance: Dict[str, object] = field(default_factory=dict)
 
 
 def run_granularity(spec: GranularitySpec, backend: Optional[str] = None,
@@ -1333,55 +1235,35 @@ def run_granularity(spec: GranularitySpec, backend: Optional[str] = None,
     population.
     """
     resolved = resolve_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-    bursts = spec.population.bursts()
     count = len(spec.population)
-    executed = 0
-    rows: List[Dict[str, object]] = []
-    keys_seen: Dict[str, None] = {}
-    for group_size in spec.group_sizes:
-        scheme = spec.scheme_for(group_size)
-        key = ActivityCache.key_for(scheme, spec.population)
-        keys_seen.setdefault(key)
-        if key in cache:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            zeros, transitions = scheme.activity_totals(bursts,
-                                                        backend=resolved)
-            cache.store(key, ActivityTotals(transitions=transitions,
-                                            zeros=zeros, bursts=count))
-            executed += 1
-        totals = cache.get(key)
-        rows.append({
+    keys = [ActivityCache.key_for(spec.scheme_for(group_size),
+                                  spec.population)
+            for group_size in spec.group_sizes]
+
+    def compute(missing):
+        bursts = spec.population.bursts()
+        for key, group_size in missing:
+            zeros, transitions = spec.scheme_for(group_size).activity_totals(
+                bursts, backend=resolved)
+            yield key, ActivityTotals(transitions=transitions, zeros=zeros,
+                                      bursts=count)
+
+    def assemble(totals: Dict[str, ActivityTotals]) -> GranularityResult:
+        rows = [{
             "group_size": group_size,
-            "mean_zeros": totals.mean_zeros,
-            "mean_transitions": totals.mean_transitions,
+            "mean_zeros": totals[key].mean_zeros,
+            "mean_transitions": totals[key].mean_transitions,
             "mean_cost": spec.model.activity_cost(
-                totals.transitions, totals.zeros) / count,
+                totals[key].transitions, totals[key].zeros) / count,
             "lines_per_byte_lane": 8 + 8 // group_size,
-        })
+        } for key, group_size in zip(keys, spec.group_sizes)]
+        return GranularityResult(spec=spec, rows=rows, totals=totals)
 
-    provenance = {
-        "backend": resolved,
-        "encodes": executed,
-        "cache_hits": len(spec.group_sizes) - executed,
-        "cache_misses": executed,
-        "group_sizes": list(spec.group_sizes),
-        "population": spec.population.digest(),
-        "population_bursts": count,
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
-    }
-    from .. import __version__
-
-    provenance["repro_version"] = __version__
-    totals_map = {key: cache.get(key) for key in keys_seen}
-    return GranularityResult(spec=spec, rows=rows, totals=totals_map,
-                             provenance=provenance)
+    return _run_axis("encodes", dict(zip(keys, spec.group_sizes)), compute,
+                     assemble, cache, resolved,
+                     {"group_sizes": list(spec.group_sizes),
+                      "population": spec.population.digest(),
+                      "population_bursts": count})
 
 
 def granularity_experiment(population, model: Optional[CostModel] = None,
@@ -1449,7 +1331,7 @@ class SsoSpec:
 
 
 @dataclass
-class SsoResult:
+class SsoResult(_Result):
     """Everything :func:`run_sso` produced for one spec.
 
     ``series`` maps slot name → one priced row per interface (declaration
@@ -1461,10 +1343,7 @@ class SsoResult:
     spec: SsoSpec
     series: Dict[str, List[Dict[str, object]]]
     totals: Dict[str, "SsoStatistics"]
-    provenance: Dict[str, object]
-
-    def save(self, path) -> None:
-        save_sso_artifact(self, path)
+    provenance: Dict[str, object] = field(default_factory=dict)
 
 
 def run_sso(spec: SsoSpec, backend: Optional[str] = None,
@@ -1481,63 +1360,43 @@ def run_sso(spec: SsoSpec, backend: Optional[str] = None,
     from ..hw.bitsim import resolve_sim_backend
 
     resolved = resolve_sim_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-    bursts = spec.population.bursts()
-    executed = 0
-    hits = 0
-    series: Dict[str, List[Dict[str, object]]] = {}
-    keys_seen: Dict[str, None] = {}
-    presets = [(name, get_interface(name)) for name in spec.interfaces]
-    for slot_name, scheme in spec.slots:
-        key = spec.sso_key(scheme)
-        keys_seen.setdefault(key)
-        if key in cache:
-            cache.hits += 1
-            hits += 1
-        else:
-            cache.misses += 1
-            cache.store(key, sso_of_scheme_batch(
+
+    def compute(missing):
+        bursts = spec.population.bursts()
+        for key, scheme in missing:
+            yield key, sso_of_scheme_batch(
                 scheme, bursts, chained=spec.chained, backend=resolved,
-                word_impl=word_impl))
-            executed += 1
-        stats = cache.get(key)
-        series[slot_name] = [{
-            "interface": interface_name,
-            "beats": stats.beats,
-            "max_switching": stats.max_switching,
-            "mean_switching": stats.mean_switching,
-            "total_switching": stats.total_switching,
-            "exceed_fraction": stats.exceed_fraction(spec.threshold),
-            "peak_current_amps": stats.peak_current_amps(
-                interface, spec.line_impedance_ohms),
-            "mean_current_amps": stats.mean_current_amps(
-                interface, spec.line_impedance_ohms),
-        } for interface_name, interface in presets]
+                word_impl=word_impl)
 
-    provenance = {
-        "backend": resolved,
-        "word_impl": word_impl,
-        "chained": spec.chained,
-        "threshold": spec.threshold,
-        "line_impedance_ohms": spec.line_impedance_ohms,
-        "encodes": executed,
-        "cache_hits": hits,
-        "cache_misses": executed,
-        "interfaces": len(spec.interfaces),
-        "population": spec.population.digest(),
-        "population_bursts": len(spec.population),
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
-    }
-    from .. import __version__
+    def assemble(totals: Dict[str, "SsoStatistics"]) -> SsoResult:
+        presets = [(name, get_interface(name)) for name in spec.interfaces]
+        series = {}
+        for slot_name, scheme in spec.slots:
+            stats = totals[spec.sso_key(scheme)]
+            series[slot_name] = [{
+                "interface": interface_name,
+                "beats": stats.beats,
+                "max_switching": stats.max_switching,
+                "mean_switching": stats.mean_switching,
+                "total_switching": stats.total_switching,
+                "exceed_fraction": stats.exceed_fraction(spec.threshold),
+                "peak_current_amps": stats.peak_current_amps(
+                    interface, spec.line_impedance_ohms),
+                "mean_current_amps": stats.mean_current_amps(
+                    interface, spec.line_impedance_ohms),
+            } for interface_name, interface in presets]
+        return SsoResult(spec=spec, series=series, totals=totals)
 
-    provenance["repro_version"] = __version__
-    totals = {key: cache.get(key) for key in keys_seen}
-    return SsoResult(spec=spec, series=series, totals=totals,
-                     provenance=provenance)
+    return _run_axis("encodes",
+                     {spec.sso_key(scheme): scheme
+                      for __, scheme in spec.slots},
+                     compute, assemble, cache, resolved,
+                     {"word_impl": word_impl, "chained": spec.chained,
+                      "threshold": spec.threshold,
+                      "line_impedance_ohms": spec.line_impedance_ohms,
+                      "interfaces": len(spec.interfaces),
+                      "population": spec.population.digest(),
+                      "population_bursts": len(spec.population)})
 
 
 def sso_experiment(population,
@@ -1559,6 +1418,83 @@ def sso_experiment(population,
                    slots=slots, interfaces=tuple(interfaces),
                    chained=chained, threshold=threshold,
                    line_impedance_ohms=line_impedance_ohms)
+
+
+# -- the record codec --------------------------------------------------------
+
+def _json_value(value):
+    """Tuples become lists, dicts get sorted stringified keys."""
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): value[key] for key in sorted(value)}
+    return value
+
+
+class RecordCodec(NamedTuple):
+    """The JSON record of one cached totals type.
+
+    ``encode`` writes the dataclass fields in declaration order and omits
+    those left at their default (fixed-point replays carry no
+    ``segments``), so records written before a defaulted field existed
+    keep decoding and re-encode to the same bytes.  ``parsers`` maps
+    every field to the function restoring it from JSON.
+    """
+
+    kind: str
+    #: The totals class, resolved lazily (SSO statistics live in
+    #: :mod:`repro.analysis`, which imports this module).
+    record_type: Callable[[], type]
+    parsers: Mapping[str, Callable[[object], object]]
+
+    def encode(self, value) -> Dict[str, object]:
+        return {spec.name: _json_value(getattr(value, spec.name))
+                for spec in fields(value)
+                if getattr(value, spec.name) != spec.default}
+
+    def decode(self, record: Mapping[str, object]):
+        return self.record_type()(**{
+            name: parse(record[name])
+            for name, parse in self.parsers.items() if name in record})
+
+
+def _sso_statistics():
+    from ..analysis.sso import SsoStatistics
+
+    return SsoStatistics
+
+
+def _int_rows(rows) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(int(value) for value in row) for row in rows)
+
+
+#: Every cached totals type's codec, by the ``kind`` written to disk.
+RECORD_CODECS: Dict[str, RecordCodec] = {codec.kind: codec for codec in (
+    RecordCodec("activity", lambda: ActivityTotals,
+                dict.fromkeys(("transitions", "zeros", "bursts"), int)),
+    RecordCodec("replay", lambda: ReplayTotals, {
+        **dict.fromkeys(("transactions", "bytes_written", "beats"), int),
+        "channels": _int_rows,
+        "segments": lambda rows: tuple(
+            (str(label), int(zeros), int(transitions), int(beats))
+            for label, zeros, transitions, beats in rows)}),
+    RecordCodec("fault", lambda: FaultCoverageRow, {
+        "rate": float,
+        **dict.fromkeys(("injected_faults", "total_beats", "bit_errors",
+                         "corrupted_beats", "dbi_lane_faults"), int)}),
+    RecordCodec("sso", _sso_statistics, {
+        **dict.fromkeys(("beats", "max_switching", "total_switching"), int),
+        "histogram": lambda histogram: {int(k): int(count)
+                                        for k, count in histogram.items()}}),
+)}
+
+
+def codec_for(value) -> RecordCodec:
+    """The codec of a cached totals value (``TypeError`` if none)."""
+    for codec in RECORD_CODECS.values():
+        if isinstance(value, codec.record_type()):
+            return codec
+    raise TypeError(f"no record codec for {type(value).__name__}")
 
 
 # -- artifact persistence ----------------------------------------------------
@@ -1602,6 +1538,10 @@ def _slot_to_json(slot: SchemeSlot) -> Dict[str, object]:
 
 
 def _slot_from_json(record: Mapping[str, object]) -> SchemeSlot:
+    """A slot whose registry scheme still matches its fingerprint.
+
+    Anything else comes back scheme-less, i.e. render-only.
+    """
     if record.get("tracks_point"):
         return SchemeSlot(str(record["name"]), tracks_point=True)
     scheme: Optional[DbiScheme] = None
@@ -1617,138 +1557,39 @@ def _slot_from_json(record: Mapping[str, object]) -> SchemeSlot:
     return SchemeSlot(str(record["name"]), scheme=scheme)
 
 
-def result_to_json(result: ExperimentResult) -> Dict[str, object]:
-    """The artifact as a JSON-serialisable dict (see :func:`save_artifact`)."""
+def _experiment_spec_to_json(result: ExperimentResult) -> Dict[str, object]:
     spec = result.spec
     return {
-        "format": ARTIFACT_FORMAT,
-        "spec": {
-            "name": spec.name,
-            "population": _population_to_json(spec.population),
-            "slots": [_slot_to_json(slot) for slot in spec.slots],
-            "grid": [{"alpha": point.alpha, "beta": point.beta,
-                      "axes": dict(point.axes)} for point in spec.grid],
-            "pricing": spec.pricing,
-            "figure": spec.figure,
-            "figure_params": dict(spec.figure_params),
-        },
-        "series": {name: list(values)
-                   for name, values in result.series.items()},
-        "totals": {key: {"transitions": totals.transitions,
-                         "zeros": totals.zeros,
-                         "bursts": totals.bursts}
-                   for key, totals in result.totals.items()},
-        "provenance": dict(result.provenance),
+        "name": spec.name,
+        "population": _population_to_json(spec.population),
+        "slots": [_slot_to_json(slot) for slot in spec.slots],
+        "grid": [{"alpha": point.alpha, "beta": point.beta,
+                  "axes": dict(point.axes)} for point in spec.grid],
+        "pricing": spec.pricing,
+        "figure": spec.figure,
+        "figure_params": dict(spec.figure_params),
     }
 
 
-def save_artifact(result: ExperimentResult, path) -> None:
-    """Persist spec + results + provenance as JSON.
-
-    Floats round-trip exactly (shortest-repr serialisation), so a loaded
-    artifact re-renders bit-identical tables.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result_to_json(result), handle, indent=1)
-        handle.write("\n")
-
-
-def load_artifact(path) -> ExperimentResult:
-    """Load a persisted experiment.
-
-    Declarative populations (and registry schemes) are rebuilt, so the
-    experiment can be *re-run*; explicit populations come back as
-    render-only placeholders.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"{path}: artifact must be a JSON object, got "
-            f"{type(payload).__name__}")
-    if payload.get("format") != ARTIFACT_FORMAT:
-        raise ValueError(
-            f"{path}: not a {ARTIFACT_FORMAT} artifact "
-            f"(format={payload.get('format')!r})")
-    kind = payload.get("kind", "experiment")
-    if kind != "experiment":
-        raise ValueError(
-            f"{path}: artifact kind {kind!r} is not a figure experiment; "
-            f"use load_replay_artifact / load_fault_artifact / "
-            f"load_granularity_artifact / load_sso_artifact")
-    spec_record = payload["spec"]
-    grid = tuple(
-        GridPoint(alpha=point["alpha"], beta=point["beta"],
-                  axes=tuple(point.get("axes", {}).items()))
-        for point in spec_record["grid"])
-    spec = ExperimentSpec(
-        name=spec_record["name"],
-        population=_population_from_json(spec_record["population"]),
-        slots=tuple(_slot_from_json(slot) for slot in spec_record["slots"]),
-        grid=grid,
-        pricing=spec_record.get("pricing", "cost"),
-        figure=spec_record.get("figure"),
-        figure_params=spec_record.get("figure_params", {}),
+def _experiment_spec_from_json(record: Mapping[str, object]
+                               ) -> ExperimentSpec:
+    return ExperimentSpec(
+        name=record["name"],
+        population=_population_from_json(record["population"]),
+        slots=tuple(_slot_from_json(slot) for slot in record["slots"]),
+        grid=tuple(GridPoint(alpha=point["alpha"], beta=point["beta"],
+                             axes=tuple(point.get("axes", {}).items()))
+                   for point in record["grid"]),
+        pricing=record.get("pricing", "cost"),
+        figure=record.get("figure"),
+        figure_params=record.get("figure_params", {}),
     )
-    totals = {key: ActivityTotals(transitions=record["transitions"],
-                                  zeros=record["zeros"],
-                                  bursts=record["bursts"])
-              for key, record in payload.get("totals", {}).items()}
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return ExperimentResult(spec=spec, series=payload["series"],
-                            totals=totals, provenance=provenance)
-
-
-def _load_kind(path, kind: str) -> Dict[str, object]:
-    """Read + validate one kind-discriminated ``repro.experiment/1`` file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"{path}: artifact must be a JSON object, got "
-            f"{type(payload).__name__}")
-    if payload.get("format") != ARTIFACT_FORMAT:
-        raise ValueError(
-            f"{path}: not a {ARTIFACT_FORMAT} artifact "
-            f"(format={payload.get('format')!r})")
-    found = payload.get("kind", "experiment")
-    if found != kind:
-        raise ValueError(
-            f"{path}: artifact kind {found!r}, expected {kind!r}")
-    return payload
-
-
-def _fault_slot_from_json(record: Mapping[str, object]
-                          ) -> Tuple[str, Optional[DbiScheme]]:
-    scheme: Optional[DbiScheme] = None
-    scheme_name = record.get("scheme")
-    if scheme_name is not None:
-        try:
-            candidate = get_scheme(str(scheme_name))
-        except KeyError:
-            candidate = None
-        if (candidate is not None
-                and candidate.fingerprint() == record.get("fingerprint")):
-            scheme = candidate
-    return str(record["name"]), scheme
 
 
 #: Replay payloads up to this size are inlined into the artifact (hex),
 #: keeping the artifact re-runnable; larger payloads persist digest-only
 #: and load as render-only specs.
 REPLAY_PAYLOAD_INLINE_LIMIT = 65536
-
-
-def _replay_totals_json(totals: ReplayTotals) -> Dict[str, object]:
-    record: Dict[str, object] = {
-        "transactions": totals.transactions,
-        "bytes_written": totals.bytes_written,
-        "beats": totals.beats,
-        "channels": [list(channel) for channel in totals.channels]}
-    if totals.segments:
-        record["segments"] = [list(segment) for segment in totals.segments]
-    return record
 
 
 def _point_to_json(point) -> Dict[str, object]:
@@ -1759,8 +1600,15 @@ def _point_to_json(point) -> Dict[str, object]:
             "label": point.label}
 
 
-def replay_result_to_json(result: ReplayResult) -> Dict[str, object]:
-    """A replay run as a JSON-serialisable ``kind="replay"`` artifact."""
+def _points_from_json(records, point_type) -> tuple:
+    return tuple(point_type(interface=str(point["interface"]),
+                            data_rate_hz=float(point["data_rate_hz"]),
+                            c_load_farads=float(point["c_load_farads"]),
+                            label=str(point["label"]))
+                 for point in records)
+
+
+def _replay_spec_to_json(result: ReplayResult) -> Dict[str, object]:
     spec = result.spec
     payload_record: Dict[str, object] = {
         "digest": spec.payload_digest(),
@@ -1776,7 +1624,7 @@ def replay_result_to_json(result: ReplayResult) -> Dict[str, object]:
         payload_record["source"] = spec.source.describe()
     elif len(spec.payload) <= REPLAY_PAYLOAD_INLINE_LIMIT:
         payload_record["hex"] = spec.payload.hex()
-    spec_record: Dict[str, object] = {
+    record: Dict[str, object] = {
         "name": spec.name,
         "payload": payload_record,
         "points": [_point_to_json(point) for point in spec.points],
@@ -1786,313 +1634,211 @@ def replay_result_to_json(result: ReplayResult) -> Dict[str, object]:
         "line_bytes": spec.line_bytes,
         "chunk_bytes": spec.chunk_bytes,
     }
-    if spec.schedule is not None:
-        spec_record["schedule"] = {
-            "points": [_point_to_json(point)
-                       for point in spec.schedule.points],
-            "switch_at": list(spec.schedule.switch_at),
-            "unit": spec.schedule.unit,
-            "label": spec.schedule.label,
-        }
-    if spec.tracking is not None:
-        spec_record["tracking"] = {
-            "points": [_point_to_json(point)
-                       for point in spec.tracking.points],
-            "half_life_bytes": spec.tracking.half_life_bytes,
-            "min_dwell_bytes": spec.tracking.min_dwell_bytes,
-            "label": spec.tracking.label,
-        }
-    return {
-        "format": ARTIFACT_FORMAT,
-        "kind": "replay",
-        "spec": spec_record,
-        "series": {label: dict(values)
-                   for label, values in result.series.items()},
-        "totals": {key: _replay_totals_json(totals)
-                   for key, totals in result.totals.items()},
-        "point_keys": dict(result.point_keys),
-        "provenance": dict(result.provenance),
-    }
+    for name in ("schedule", "tracking"):
+        axis = getattr(spec, name)
+        if axis is not None:
+            record[name] = {axis_field.name: _json_value(
+                                getattr(axis, axis_field.name))
+                            for axis_field in fields(axis)}
+            record[name]["points"] = [_point_to_json(point)
+                                      for point in axis.points]
+    return record
 
 
-def save_replay_artifact(result: ReplayResult, path) -> None:
-    """Persist a controller-replay result (``kind="replay"``)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(replay_result_to_json(result), handle, indent=1)
-        handle.write("\n")
-
-
-def load_replay_artifact(path) -> ReplayResult:
-    """Load a persisted controller replay.
-
-    Artifacts with an inlined payload come back fully re-runnable;
-    digest-only artifacts come back *render-only* — their series and
-    totals re-render exactly, but :func:`run_replay` refuses to
-    re-execute them unless every replay key is already cached.
+def _replay_spec_from_json(record: Mapping[str, object]) -> ReplaySpec:
+    """Inlined payloads and resolvable sources load re-runnable; anything
+    else loads *render-only* — series and totals re-render exactly, but
+    :func:`run_replay` refuses to re-execute unless every key is cached.
     """
-    payload_json = _load_kind(path, "replay")
-    spec_record = payload_json["spec"]
-    payload_record = spec_record["payload"]
-    points = tuple(ReplayPoint(interface=str(point["interface"]),
-                               data_rate_hz=float(point["data_rate_hz"]),
-                               c_load_farads=float(point["c_load_farads"]),
-                               label=str(point["label"]))
-                   for point in spec_record["points"])
-
-    def operating_points(records) -> Tuple[OperatingPoint, ...]:
-        return tuple(OperatingPoint(
-            interface=str(point["interface"]),
-            data_rate_hz=float(point["data_rate_hz"]),
-            c_load_farads=float(point["c_load_farads"]),
-            label=str(point["label"])) for point in records)
-
-    schedule = None
-    schedule_record = spec_record.get("schedule")
-    if schedule_record is not None:
+    payload_record = record["payload"]
+    schedule = tracking = None
+    if record.get("schedule") is not None:
+        axis = record["schedule"]
         schedule = OperatingPointSchedule(
-            points=operating_points(schedule_record["points"]),
-            switch_at=tuple(int(value)
-                            for value in schedule_record["switch_at"]),
-            unit=str(schedule_record["unit"]),
-            label=str(schedule_record["label"]))
-    tracking = None
-    tracking_record = spec_record.get("tracking")
-    if tracking_record is not None:
+            points=_points_from_json(axis["points"], OperatingPoint),
+            switch_at=tuple(int(value) for value in axis["switch_at"]),
+            unit=str(axis["unit"]), label=str(axis["label"]))
+    if record.get("tracking") is not None:
+        axis = record["tracking"]
         tracking = TrackingConfig(
-            points=operating_points(tracking_record["points"]),
-            half_life_bytes=float(tracking_record["half_life_bytes"]),
-            min_dwell_bytes=int(tracking_record["min_dwell_bytes"]),
-            label=str(tracking_record["label"]))
-
+            points=_points_from_json(axis["points"], OperatingPoint),
+            half_life_bytes=float(axis["half_life_bytes"]),
+            min_dwell_bytes=int(axis["min_dwell_bytes"]),
+            label=str(axis["label"]))
     payload_hex = payload_record.get("hex")
-    source_record = payload_record.get("source")
-    source = (source_from_json(source_record)
-              if source_record is not None else None)
-    render_only = payload_hex is None and source is None
-    payload = b""
+    source = (source_from_json(payload_record["source"])
+              if payload_record.get("source") is not None else None)
     if payload_hex is not None:
         payload = bytes.fromhex(payload_hex)
-    elif source is None:
-        payload = b"\x00"
+    else:
+        payload = b"" if source is not None else b"\x00"
     spec = ReplaySpec(
-        name=str(spec_record["name"]),
+        name=str(record["name"]),
         payload=payload,
-        points=points,
-        channels=int(spec_record["channels"]),
-        byte_lanes=int(spec_record["byte_lanes"]),
-        window=int(spec_record["window"]),
-        line_bytes=int(spec_record["line_bytes"]),
+        points=_points_from_json(record["points"], ReplayPoint),
+        channels=int(record["channels"]),
+        byte_lanes=int(record["byte_lanes"]),
+        window=int(record["window"]),
+        line_bytes=int(record["line_bytes"]),
         source=source,
-        chunk_bytes=int(spec_record.get("chunk_bytes",
-                                        DEFAULT_TRACE_CHUNK_BYTES)),
+        chunk_bytes=int(record.get("chunk_bytes",
+                                   DEFAULT_TRACE_CHUNK_BYTES)),
         schedule=schedule,
         tracking=tracking,
     )
-    if render_only:
-        # Pin the persisted digest so replay keys (and therefore
-        # totals_for / cache lookups) still resolve.
+    if payload_hex is None:
+        # Pin the persisted digest: render-only specs have no trace to
+        # hash (replay keys, totals_for and cache lookups still resolve),
+        # and a rebuilt source would re-stream the whole trace (equal by
+        # construction; pinning keeps loads O(1)).
         object.__setattr__(spec, "_digest", str(payload_record["digest"]))
-        object.__setattr__(spec, "_render_only", True)
-    elif source is not None:
-        # A rebuilt source would re-derive the digest by streaming the
-        # whole trace; pin the persisted one instead (they are equal by
-        # construction, and loads stay O(1)).
-        object.__setattr__(spec, "_digest", str(payload_record["digest"]))
-    totals = {key: ReplayTotals(
-                  transactions=int(record["transactions"]),
-                  bytes_written=int(record["bytes_written"]),
-                  beats=int(record["beats"]),
-                  channels=tuple(tuple(int(value) for value in channel)
-                                 for channel in record["channels"]),
-                  segments=tuple(
-                      (str(label), int(zeros), int(transitions), int(beats))
-                      for label, zeros, transitions, beats
-                      in record.get("segments", ())))
-              for key, record in payload_json.get("totals", {}).items()}
-    provenance = dict(payload_json.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return ReplayResult(spec=spec, series=payload_json["series"],
-                        totals=totals, provenance=provenance,
-                        point_keys=dict(payload_json.get("point_keys", {})))
+        if source is None:
+            object.__setattr__(spec, "_render_only", True)
+    return spec
 
 
-def save_fault_artifact(result: FaultResult, path) -> None:
-    """Persist a fault-coverage result (``kind="faults"``)."""
-    spec = result.spec
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "kind": "faults",
-        "spec": {
-            "name": spec.name,
-            "population": _population_to_json(spec.population),
-            "slots": [{"name": slot_name, "scheme": scheme.name,
-                       "fingerprint": scheme.fingerprint()}
-                      for slot_name, scheme in spec.slots],
-            "rates": list(spec.rates),
-            "seed": spec.seed,
-        },
-        "series": {name: list(rows) for name, rows in result.series.items()},
-        "totals": {key: _coverage_row_json(row)
-                   for key, row in result.totals.items()},
-        "provenance": dict(result.provenance),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+def _fields_to_json(result: _Result) -> Dict[str, object]:
+    """Fault, granularity and SSO specs: every field, declaration order."""
+    record: Dict[str, object] = {}
+    for spec_field in fields(result.spec):
+        value = getattr(result.spec, spec_field.name)
+        if spec_field.name == "population":
+            value = _population_to_json(value)
+        elif spec_field.name == "slots":
+            value = [{"name": slot_name, "scheme": scheme.name,
+                      "fingerprint": scheme.fingerprint()}
+                     for slot_name, scheme in value]
+        elif spec_field.name == "model":
+            value = {"alpha": value.alpha, "beta": value.beta}
+        else:
+            value = _json_value(value)
+        record[spec_field.name] = value
+    return record
 
 
-def load_fault_artifact(path) -> FaultResult:
-    """Load a persisted fault-coverage experiment.
+def _fields_from_json(spec_type: type, record: Mapping[str, object]):
+    """Inverse of :func:`_fields_to_json`.
 
-    Registry schemes whose fingerprints still match are rebuilt (so the
-    spec can be re-run); unknown slots come back scheme-less and are
-    render-only.
+    Registry schemes whose fingerprints still match are rebuilt, so the
+    spec can be re-run; unknown slots are dropped unless none resolve,
+    in which case all come back scheme-less (render-only).
     """
-    payload = _load_kind(path, "faults")
-    spec_record = payload["spec"]
-    slots = tuple(_fault_slot_from_json(record)
-                  for record in spec_record["slots"])
-    runnable = tuple((slot_name, scheme) for slot_name, scheme in slots
-                     if scheme is not None)
-    spec = FaultSpec(
-        name=spec_record["name"],
-        population=_population_from_json(spec_record["population"]),
-        slots=runnable if runnable else tuple(slots),
-        rates=tuple(spec_record["rates"]),
-        seed=int(spec_record.get("seed", 7)),
-    )
-    totals = {key: FaultCoverageRow(
-                  rate=record["rate"],
-                  injected_faults=record["injected_faults"],
-                  total_beats=record["total_beats"],
-                  bit_errors=record["bit_errors"],
-                  corrupted_beats=record["corrupted_beats"],
-                  dbi_lane_faults=record["dbi_lane_faults"])
-              for key, record in payload.get("totals", {}).items()}
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return FaultResult(spec=spec, series=payload["series"],
-                       totals=totals, provenance=provenance)
+    values: Dict[str, object] = {}
+    for spec_field in fields(spec_type):
+        name, default = spec_field.name, spec_field.default
+        value = record[name] if default is MISSING else record.get(name,
+                                                                    default)
+        if name == "population":
+            value = _population_from_json(value)
+        elif name == "slots":
+            slots = [(slot.name, slot.scheme)
+                     for slot in map(_slot_from_json, value)]
+            value = tuple([slot for slot in slots if slot[1] is not None]
+                          or slots)
+        elif name == "model":
+            value = CostModel(alpha=value["alpha"], beta=value["beta"])
+        elif default is not MISSING:
+            value = type(default)(value)
+        values[name] = value
+    return spec_type(**values)
 
 
-def save_granularity_artifact(result: GranularityResult, path) -> None:
-    """Persist a granularity result (``kind="granularity"``)."""
-    spec = result.spec
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "kind": "granularity",
-        "spec": {
-            "name": spec.name,
-            "population": _population_to_json(spec.population),
-            "model": {"alpha": spec.model.alpha, "beta": spec.model.beta},
-            "group_sizes": list(spec.group_sizes),
-        },
-        "rows": list(result.rows),
-        "totals": {key: {"transitions": totals.transitions,
-                         "zeros": totals.zeros,
-                         "bursts": totals.bursts}
+class _ArtifactKind(NamedTuple):
+    result_type: type
+    #: The result member holding the priced output.
+    output: str
+    codec: str
+    spec_to_json: Callable[[_Result], Dict[str, object]]
+    spec_from_json: Callable[[Mapping[str, object]], object]
+
+
+#: Every artifact ``kind``; figure experiments write no ``kind`` field.
+_ARTIFACT_KINDS: Dict[str, _ArtifactKind] = {
+    "experiment": _ArtifactKind(ExperimentResult, "series", "activity",
+                                _experiment_spec_to_json,
+                                _experiment_spec_from_json),
+    "replay": _ArtifactKind(ReplayResult, "series", "replay",
+                            _replay_spec_to_json, _replay_spec_from_json),
+    "faults": _ArtifactKind(FaultResult, "series", "fault", _fields_to_json,
+                            partial(_fields_from_json, FaultSpec)),
+    "granularity": _ArtifactKind(GranularityResult, "rows", "activity",
+                                 _fields_to_json,
+                                 partial(_fields_from_json, GranularitySpec)),
+    "sso": _ArtifactKind(SsoResult, "series", "sso", _fields_to_json,
+                         partial(_fields_from_json, SsoSpec)),
+}
+
+_KIND_OF = {entry.result_type: kind
+            for kind, entry in _ARTIFACT_KINDS.items()}
+
+
+def result_to_json(result: _Result) -> Dict[str, object]:
+    """Any axis's result as a JSON-serialisable artifact dict."""
+    kind = _KIND_OF[type(result)]
+    entry = _ARTIFACT_KINDS[kind]
+    payload: Dict[str, object] = {"format": ARTIFACT_FORMAT}
+    if kind != "experiment":
+        payload["kind"] = kind
+    output = getattr(result, entry.output)
+    # Fault rows keep their derived rates in artifacts (not in the cache).
+    encode = (_coverage_row_json if kind == "faults"
+              else RECORD_CODECS[entry.codec].encode)
+    payload.update({
+        "spec": entry.spec_to_json(result),
+        entry.output: (dict(output) if isinstance(output, dict)
+                       else list(output)),
+        "totals": {key: encode(totals)
                    for key, totals in result.totals.items()},
-        "provenance": dict(result.provenance),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    })
+    if kind == "replay":
+        payload["point_keys"] = dict(result.point_keys)
+    payload["provenance"] = dict(result.provenance)
+    return payload
 
 
-def load_granularity_artifact(path) -> GranularityResult:
-    """Load a persisted granularity ablation (re-runnable spec)."""
-    payload = _load_kind(path, "granularity")
-    spec_record = payload["spec"]
-    model_record = spec_record["model"]
-    spec = GranularitySpec(
-        name=spec_record["name"],
-        population=_population_from_json(spec_record["population"]),
-        model=CostModel(alpha=model_record["alpha"],
-                        beta=model_record["beta"]),
-        group_sizes=tuple(spec_record["group_sizes"]),
-    )
-    totals = {key: ActivityTotals(transitions=record["transitions"],
-                                  zeros=record["zeros"],
-                                  bursts=record["bursts"])
-              for key, record in payload.get("totals", {}).items()}
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return GranularityResult(spec=spec, rows=payload["rows"],
-                             totals=totals, provenance=provenance)
+#: Kept for callers that predate the kind-dispatching writer.
+replay_result_to_json = result_to_json
 
 
-def _sso_stats_json(stats: "SsoStatistics") -> Dict[str, object]:
-    return {"beats": stats.beats,
-            "max_switching": stats.max_switching,
-            "total_switching": stats.total_switching,
-            "histogram": {str(k): count
-                          for k, count in sorted(stats.histogram.items())}}
+def save_artifact(result: _Result, path) -> None:
+    """Persist spec + results + provenance of any axis as JSON.
 
-
-def _sso_stats_from_json(record: Mapping[str, object]) -> "SsoStatistics":
-    from ..analysis.sso import SsoStatistics
-
-    return SsoStatistics(
-        beats=int(record["beats"]),
-        max_switching=int(record["max_switching"]),
-        total_switching=int(record["total_switching"]),
-        histogram={int(k): int(count)
-                   for k, count in record.get("histogram", {}).items()})
-
-
-def save_sso_artifact(result: SsoResult, path) -> None:
-    """Persist a simultaneous-switching result (``kind="sso"``)."""
-    spec = result.spec
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "kind": "sso",
-        "spec": {
-            "name": spec.name,
-            "population": _population_to_json(spec.population),
-            "slots": [{"name": slot_name, "scheme": scheme.name,
-                       "fingerprint": scheme.fingerprint()}
-                      for slot_name, scheme in spec.slots],
-            "interfaces": list(spec.interfaces),
-            "chained": spec.chained,
-            "threshold": spec.threshold,
-            "line_impedance_ohms": spec.line_impedance_ohms,
-        },
-        "series": {name: list(rows) for name, rows in result.series.items()},
-        "totals": {key: _sso_stats_json(stats)
-                   for key, stats in result.totals.items()},
-        "provenance": dict(result.provenance),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-
-
-def load_sso_artifact(path) -> SsoResult:
-    """Load a persisted simultaneous-switching sweep.
-
-    Registry schemes whose fingerprints still match are rebuilt (so the
-    spec can be re-run); unknown slots come back scheme-less and are
-    render-only.
+    Floats round-trip exactly (shortest-repr serialisation), so a loaded
+    artifact re-renders bit-identical tables.
     """
-    payload = _load_kind(path, "sso")
-    spec_record = payload["spec"]
-    slots = tuple(_fault_slot_from_json(record)
-                  for record in spec_record["slots"])
-    runnable = tuple((slot_name, scheme) for slot_name, scheme in slots
-                     if scheme is not None)
-    spec = SsoSpec(
-        name=spec_record["name"],
-        population=_population_from_json(spec_record["population"]),
-        slots=runnable if runnable else tuple(slots),
-        interfaces=tuple(spec_record["interfaces"]),
-        chained=bool(spec_record.get("chained", False)),
-        threshold=int(spec_record.get("threshold", WORD_WIDTH // 2)),
-        line_impedance_ohms=float(
-            spec_record.get("line_impedance_ohms", 50.0)),
-    )
-    totals = {key: _sso_stats_from_json(record)
-              for key, record in payload.get("totals", {}).items()}
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return SsoResult(spec=spec, series=payload["series"],
-                     totals=totals, provenance=provenance)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(result_to_json(result), handle, indent=1)
+        handle.write("\n")
+
+
+def load_artifact(path) -> _Result:
+    """Load a persisted run of any axis, dispatching on its ``kind``.
+
+    Declarative populations, registry schemes and inlined or resolvable
+    traces are rebuilt, so the spec can be *re-run*; everything else
+    comes back as a render-only placeholder whose totals still re-render
+    (and still prime a cache).
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"{path}: artifact must be a JSON object, got "
+            f"{type(payload).__name__}")
+    if payload.get("format") != ARTIFACT_FORMAT:
+        raise ValueError(
+            f"{path}: not a {ARTIFACT_FORMAT} artifact "
+            f"(format={payload.get('format')!r})")
+    kind = payload.get("kind", "experiment")
+    if kind not in _ARTIFACT_KINDS:
+        raise ValueError(f"{path}: unknown artifact kind {kind!r}")
+    entry = _ARTIFACT_KINDS[kind]
+    codec = RECORD_CODECS[entry.codec]
+    extra = ({"point_keys": dict(payload.get("point_keys", {}))}
+             if kind == "replay" else {})
+    return entry.result_type(
+        spec=entry.spec_from_json(payload["spec"]),
+        totals={key: codec.decode(record)
+                for key, record in payload.get("totals", {}).items()},
+        provenance=dict(payload.get("provenance", {}), loaded_from=str(path)),
+        **{entry.output: payload[entry.output]}, **extra)

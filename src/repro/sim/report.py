@@ -82,25 +82,26 @@ def format_load_sweep(result: LoadSweepResult, every: int = 4) -> str:
 
 
 def format_provenance(result) -> str:
-    """One-line provenance summary of an experiment run or artifact.
+    """One-line provenance footer of a run or loaded artifact, any axis.
 
-    Accepts an :class:`~repro.sim.experiments.ExperimentResult` (fresh or
-    loaded); printed by the CLI whenever artifacts are written or read so
-    every persisted figure names its population, backend and cache use.
+    Names the backend, the work done and the cache use, then the spec,
+    its population (when it has one) and where a loaded artifact came
+    from.  The CLI prints it under every engine command's output.
     """
     provenance = result.provenance
-    spec = result.spec
-    origin = provenance.get("loaded_from")
-    parts = [
-        f"experiment {spec.name}",
-        f"population {spec.population.digest()} "
-        f"({len(spec.population)} bursts)",
-        f"backend={provenance.get('backend')} jobs={provenance.get('jobs')}",
-        f"encodes={provenance.get('encodes')} "
-        f"(cache {provenance.get('cache_hits')} hits)",
-    ]
-    if origin:
-        parts.append(f"loaded from {origin}")
+    settings = " ".join(
+        f"{name}={provenance[name]}"
+        for name in ("backend", "jobs", "word_impl", "encodes", "replays",
+                     "injections", "cache_hits")
+        if name in provenance)
+    parts = [f"{settings} elapsed={provenance.get('elapsed_s', 0.0):.3f}s",
+             f"experiment {result.spec.name}"]
+    population = getattr(result.spec, "population", None)
+    if population is not None:
+        parts.append(f"population {population.digest()} "
+                     f"({len(population)} bursts)")
+    if provenance.get("loaded_from"):
+        parts.append(f"loaded from {provenance['loaded_from']}")
     return "# " + " | ".join(parts)
 
 

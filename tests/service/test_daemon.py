@@ -22,7 +22,6 @@ from repro.service.daemon import (
     sweep_spec_from_params,
 )
 from repro.sim.experiments import (
-    replay_result_to_json,
     result_to_json,
     run_experiment,
     run_replay,
@@ -125,7 +124,7 @@ class TestSweep:
 class TestReplay:
     def test_matches_direct_run_canonically(self, client):
         artifact = client.replay(**REPLAY_PARAMS)
-        direct = replay_result_to_json(
+        direct = result_to_json(
             run_replay(replay_spec_from_params(REPLAY_PARAMS)))
         assert (canonical_artifact_json(artifact)
                 == canonical_artifact_json(direct))
@@ -240,6 +239,11 @@ class TestServingLimits:
                     busy = json.loads(line)
                     assert busy["ok"] is False
                     assert busy["retryable"] is True
+            # The first connection's handler releases its slot only after
+            # it sees the close; wait for that before the health probe.
+            slots = daemon._server.connection_slots
+            assert slots.acquire(timeout=30)
+            slots.release()
             with ServiceClient(host, port) as client:
                 health = client.health()
                 assert health["busy_rejections"] == 1

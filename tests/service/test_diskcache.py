@@ -17,17 +17,17 @@ from repro.extensions.reliability import FaultCoverageRow
 from repro.service.diskcache import (
     CACHE_FORMAT,
     DiskActivityCache,
-    decode_record,
-    encode_record,
     open_cache,
     resolve_cache_dir,
 )
 from repro.sim import experiments
 from repro.sim.experiments import (
+    RECORD_CODECS,
     ActivityCache,
     ActivityTotals,
     ReplayTotals,
     alpha_experiment,
+    codec_for,
     run_experiment,
     shared_cache,
 )
@@ -44,20 +44,72 @@ SAMPLE_RECORDS = [
 ]
 
 
+#: Cache files of all four record kinds, byte for byte as the disk tier
+#: wrote them before the shared codec registry replaced its own encoder.
+LEGACY_ENTRIES = {
+    "activity": (
+        b'{"format": "repro.cache/1", "key": "raw@random:300x8:seed=5:np", '
+        b'"kind": "activity", "record": {"transitions": 9516, "zeros": 9615, '
+        b'"bursts": 300}}\n'),
+    "replay": (
+        b'{"format": "repro.cache/1", "key": "ctrl[ch=2,l=4,w=16,line=64,'
+        b'r=0x1.09d89d89d89d8p-1]@sha256:b0c2ce8262a870a57974f8841b9e0cb9", '
+        b'"kind": "replay", "record": {"transactions": 63, '
+        b'"bytes_written": 4000, "beats": 4000, "channels": '
+        b'[[7201, 7685, 2016], [7091, 7549, 1984]]}}\n'),
+    "replay-segments": (
+        b'{"format": "repro.cache/1", "key": "ctrl[ch=2,l=4,w=16,line=64,'
+        b'sched=u=transactions;pod135:0x1.65a0bc0000000p+33:'
+        b'0x1.a636641c4df1ap-39;pod12:0x1.dcd6500000000p+32:'
+        b'0x1.a636641c4df1ap-39@60]@sha256:0a0077d6e2cb585f00124e3126f7d14a", '
+        b'"kind": "replay", "record": {"transactions": 141, '
+        b'"bytes_written": 9000, "beats": 9000, "channels": '
+        b'[[15816, 17620, 4520], [15621, 17479, 4480]], "segments": '
+        b'[["pod135@12Gbps/3pF", 13485, 14381, 3776], '
+        b'["pod12@8Gbps/3pF", 17952, 20718, 5224]]}}\n'),
+    "fault": (
+        b'{"format": "repro.cache/1", "key": "fault[p=0x1.47ae147ae147bp-7,'
+        b's=11]raw@random:300x8:seed=5:np", "kind": "fault", "record": '
+        b'{"rate": 0.01, "injected_faults": 223, "total_beats": 2400, '
+        b'"bit_errors": 375, "corrupted_beats": 216, "dbi_lane_faults": 22}}'
+        b'\n'),
+    "sso": (
+        b'{"format": "repro.cache/1", "key": "sso[chained=0]dbi-ac@random:'
+        b'300x8:seed=5:np", "kind": "sso", "record": {"beats": 2400, '
+        b'"max_switching": 4, "total_switching": 7858, "histogram": '
+        b'{"0": 5, "1": 95, "2": 346, "3": 745, "4": 1209}}}\n'),
+}
+
+
 class TestRecordCodec:
     @pytest.mark.parametrize("record", SAMPLE_RECORDS,
                              ids=["activity", "replay", "fault", "sso"])
     def test_roundtrip(self, record):
-        kind, payload = encode_record(record)
+        codec = codec_for(record)
         # The payload must survive JSON (what the disk tier does).
-        restored = decode_record(kind, json.loads(json.dumps(payload)))
-        assert restored == record
+        payload = json.loads(json.dumps(codec.encode(record)))
+        assert RECORD_CODECS[codec.kind].decode(payload) == record
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
-            encode_record(object())
-        with pytest.raises(ValueError):
-            decode_record("martian", {})
+            codec_for(object())
+        with pytest.raises(KeyError):
+            RECORD_CODECS["martian"]
+
+    @pytest.mark.parametrize("name", sorted(LEGACY_ENTRIES))
+    def test_legacy_entries_decode_and_reencode_identically(self, name,
+                                                             tmp_path):
+        raw = LEGACY_ENTRIES[name]
+        key = json.loads(raw)["key"]
+        reader = DiskActivityCache(tmp_path / "old")
+        with open(reader._path(key), "wb") as handle:
+            handle.write(raw)
+        totals = reader.get(key)
+        assert codec_for(totals).kind == json.loads(raw)["kind"]
+        writer = DiskActivityCache(tmp_path / "new")
+        writer.store(key, totals)
+        with open(writer._path(key), "rb") as handle:
+            assert handle.read() == raw
 
 
 class TestDiskActivityCache:

@@ -1,4 +1,4 @@
-"""The reliability and granularity experiment axes (PR 6)."""
+"""The reliability and granularity experiment axes."""
 
 import pytest
 
@@ -11,13 +11,13 @@ from repro.extensions.granularity import (
 from repro.extensions.reliability import fault_coverage_curve
 from repro.sim.experiments import (
     ActivityCache,
+    FaultResult,
     FaultSpec,
+    GranularityResult,
     GranularitySpec,
     fault_experiment,
     granularity_experiment,
     load_artifact,
-    load_fault_artifact,
-    load_granularity_artifact,
     run_faults,
     run_granularity,
 )
@@ -93,7 +93,7 @@ class TestRunFaults:
         result = run_faults(spec)
         path = tmp_path / "faults.json"
         result.save(path)
-        loaded = load_fault_artifact(path)
+        loaded = load_artifact(path)
         assert loaded.series == result.series
         assert loaded.spec.rates == spec.rates
         assert loaded.spec.seed == spec.seed
@@ -104,10 +104,7 @@ class TestRunFaults:
     def test_kind_guards(self, population, tmp_path):
         path = tmp_path / "faults.json"
         run_faults(fault_experiment(population, rates=(0.02,))).save(path)
-        with pytest.raises(ValueError, match="kind"):
-            load_artifact(path)
-        with pytest.raises(ValueError, match="kind"):
-            load_granularity_artifact(path)
+        assert isinstance(load_artifact(path), FaultResult)
 
 
 class TestGranularitySpec:
@@ -151,7 +148,7 @@ class TestRunGranularity:
             population, model=CostModel(2.0, 1.0), group_sizes=(4, 8)))
         path = tmp_path / "granularity.json"
         result.save(path)
-        loaded = load_granularity_artifact(path)
+        loaded = load_artifact(path)
         assert loaded.rows == result.rows
         assert loaded.spec.model == CostModel(2.0, 1.0)
         rerun = run_granularity(loaded.spec)
@@ -160,7 +157,4 @@ class TestRunGranularity:
     def test_kind_guards(self, population, tmp_path):
         path = tmp_path / "granularity.json"
         run_granularity(granularity_experiment(population)).save(path)
-        with pytest.raises(ValueError, match="kind"):
-            load_artifact(path)
-        with pytest.raises(ValueError, match="kind"):
-            load_fault_artifact(path)
+        assert isinstance(load_artifact(path), GranularityResult)

@@ -10,12 +10,12 @@ from repro.analysis.artifacts import canonical_artifact_json
 from repro.sim.experiments import (
     REPLAY_PAYLOAD_INLINE_LIMIT,
     ActivityCache,
+    ReplayResult,
     interface_replay_experiment,
     load_artifact,
-    load_replay_artifact,
-    replay_result_to_json,
+    result_to_json,
     run_replay,
-    save_replay_artifact,
+    save_artifact,
 )
 
 
@@ -34,8 +34,8 @@ class TestRoundtrip:
     def test_save_load_preserves_everything(self, tmp_path):
         result = run_replay(_small_spec())
         path = tmp_path / "replay.json"
-        save_replay_artifact(result, path)
-        loaded = load_replay_artifact(path)
+        save_artifact(result, path)
+        loaded = load_artifact(path)
         assert loaded.spec.payload == result.spec.payload
         assert loaded.spec.points == result.spec.points
         assert loaded.series == result.series
@@ -46,15 +46,15 @@ class TestRoundtrip:
     def test_loaded_spec_is_rerunnable(self, tmp_path):
         result = run_replay(_small_spec())
         path = tmp_path / "replay.json"
-        save_replay_artifact(result, path)
-        rerun = run_replay(load_replay_artifact(path).spec)
+        save_artifact(result, path)
+        rerun = run_replay(load_artifact(path).spec)
         assert rerun.series == result.series
         assert rerun.totals == result.totals
 
     def test_artifact_is_tagged_and_inlined(self, tmp_path):
         result = run_replay(_small_spec())
         path = tmp_path / "replay.json"
-        save_replay_artifact(result, path)
+        save_artifact(result, path)
         raw = json.load(open(path))
         assert raw["kind"] == "replay"
         assert bytes.fromhex(raw["spec"]["payload"]["hex"]) == \
@@ -63,14 +63,13 @@ class TestRoundtrip:
 
     def test_json_stable_across_saves(self, tmp_path):
         result = run_replay(_small_spec())
-        assert (canonical_artifact_json(replay_result_to_json(result))
-                == canonical_artifact_json(replay_result_to_json(result)))
+        assert (canonical_artifact_json(result_to_json(result))
+                == canonical_artifact_json(result_to_json(result)))
 
-    def test_sweep_loader_rejects_replay_kind(self, tmp_path):
+    def test_load_artifact_dispatches_replay_kind(self, tmp_path):
         path = tmp_path / "replay.json"
-        save_replay_artifact(run_replay(_small_spec()), path)
-        with pytest.raises(ValueError, match="load_replay_artifact"):
-            load_artifact(path)
+        save_artifact(run_replay(_small_spec()), path)
+        assert isinstance(load_artifact(path), ReplayResult)
 
 
 class TestRenderOnly:
@@ -82,7 +81,7 @@ class TestRenderOnly:
             interfaces=("pod135", "sstl15"))
         result = run_replay(spec)
         path = tmp_path / "big.json"
-        save_replay_artifact(result, path)
+        save_artifact(result, path)
         return result, path
 
     def test_large_payload_is_digest_only(self, saved):
@@ -94,7 +93,7 @@ class TestRenderOnly:
 
     def test_series_and_digest_survive(self, saved):
         result, path = saved
-        loaded = load_replay_artifact(path)
+        loaded = load_artifact(path)
         assert loaded.series == result.series
         assert loaded.totals == result.totals
         assert loaded.spec.payload_digest() == result.spec.payload_digest()
@@ -102,13 +101,13 @@ class TestRenderOnly:
     def test_rerun_refuses_without_cache(self, saved):
         __, path = saved
         with pytest.raises(RuntimeError, match="cannot re-execute"):
-            run_replay(load_replay_artifact(path).spec)
+            run_replay(load_artifact(path).spec)
 
     def test_primed_cache_rerenders_exactly(self, saved):
         """The artifact's totals re-seed a cache; the render-only spec
         then re-prices every point without touching the payload."""
         result, path = saved
-        loaded = load_replay_artifact(path)
+        loaded = load_artifact(path)
         cache = ActivityCache()
         for key, totals in loaded.totals.items():
             cache.store(key, totals)

@@ -1,14 +1,16 @@
 """The simultaneous-switching experiment axis: caching, artifacts, CLI glue."""
 
+import json
+
 import pytest
 
 from repro.analysis.sso import SsoStatistics, sso_of_scheme
 from repro.core.schemes import get_scheme
 from repro.sim.experiments import (
     ActivityCache,
+    SsoResult,
     SsoSpec,
     load_artifact,
-    load_sso_artifact,
     run_sso,
     sso_experiment,
 )
@@ -104,7 +106,7 @@ class TestSsoArtifacts:
         result = run_sso(spec)
         path = tmp_path / "sso.json"
         result.save(path)
-        loaded = load_sso_artifact(path)
+        loaded = load_artifact(path)
         assert loaded.series == result.series
         assert loaded.totals == result.totals
         assert loaded.spec.interfaces == spec.interfaces
@@ -115,12 +117,13 @@ class TestSsoArtifacts:
         result = run_sso(spec)
         path = tmp_path / "sso.json"
         result.save(path)
-        rerun = run_sso(load_sso_artifact(path).spec)
+        rerun = run_sso(load_artifact(path).spec)
         assert rerun.series == result.series
 
     def test_kind_is_discriminated(self, spec, tmp_path):
         result = run_sso(spec)
         path = tmp_path / "sso.json"
         result.save(path)
-        with pytest.raises(ValueError, match="load_sso_artifact"):
-            load_artifact(path)
+        raw = json.loads(path.read_text())
+        assert raw["kind"] == "sso"
+        assert isinstance(load_artifact(path), SsoResult)

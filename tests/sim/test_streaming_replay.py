@@ -22,9 +22,9 @@ from repro.sim.experiments import (
     ActivityCache,
     ReplayPoint,
     ReplaySpec,
-    load_replay_artifact,
+    load_artifact,
     run_replay,
-    save_replay_artifact,
+    save_artifact,
 )
 from repro.workloads.source import BytesTraceSource, SyntheticTraceSource
 
@@ -154,8 +154,8 @@ class TestArtifacts:
                           chunk_bytes=4096)
         result = run_replay(spec)
         path = tmp_path / "replay.json"
-        save_replay_artifact(result, path)
-        loaded = load_replay_artifact(path)
+        save_artifact(result, path)
+        loaded = load_artifact(path)
         assert not getattr(loaded.spec, "_render_only", False)
         assert loaded.spec.schedule == schedule
         assert loaded.series == result.series
@@ -166,8 +166,8 @@ class TestArtifacts:
     def test_bytes_source_artifact_is_render_only(self, tmp_path):
         result = run_replay(source_spec(999))
         path = tmp_path / "replay.json"
-        save_replay_artifact(result, path)
-        loaded = load_replay_artifact(path)
+        save_artifact(result, path)
+        loaded = load_artifact(path)
         assert getattr(loaded.spec, "_render_only", False)
         assert loaded.series == result.series
         with pytest.raises(RuntimeError):
@@ -180,8 +180,8 @@ class TestArtifacts:
                           tracking=tracking, chunk_bytes=1024)
         result = run_replay(spec)
         path = tmp_path / "replay.json"
-        save_replay_artifact(result, path)
-        loaded = load_replay_artifact(path)
+        save_artifact(result, path)
+        loaded = load_artifact(path)
         assert loaded.spec.tracking == tracking
         assert loaded.spec.chunk_bytes == 1024
         assert loaded.totals_for("trk").segments \
@@ -194,8 +194,8 @@ class TestArtifacts:
             (OP_A, OP_B), (120,), label="dvfs"))
         result = run_replay(spec, cache=cache)
         path = tmp_path / "replay.json"
-        save_replay_artifact(result, path)
-        loaded = load_replay_artifact(path)
+        save_artifact(result, path)
+        loaded = load_artifact(path)
         again = run_replay(loaded.spec, cache=cache)
         assert again.series == result.series
         assert again.provenance["replays"] == 0
@@ -203,24 +203,22 @@ class TestArtifacts:
 
 class TestDiskCacheSegments:
     def test_replay_totals_with_segments_round_trip(self):
-        from repro.service.diskcache import decode_record, encode_record
-        from repro.sim.experiments import ReplayTotals
+        from repro.sim.experiments import ReplayTotals, codec_for
 
         totals = ReplayTotals(
             transactions=10, bytes_written=640, beats=640,
             channels=((100, 200, 320), (90, 210, 320)),
             segments=(("a", 50, 60, 300), ("b", 140, 350, 340)))
-        kind, record = encode_record(totals)
-        assert kind == "replay"
-        assert decode_record(kind, record) == totals
+        codec = codec_for(totals)
+        assert codec.kind == "replay"
+        assert codec.decode(codec.encode(totals)) == totals
 
     def test_fixed_point_records_stay_unchanged(self):
         """No ``segments`` key for fixed replays — old files still load."""
-        from repro.service.diskcache import decode_record, encode_record
-        from repro.sim.experiments import ReplayTotals
+        from repro.sim.experiments import RECORD_CODECS, ReplayTotals
 
         totals = ReplayTotals(transactions=1, bytes_written=64, beats=64,
                               channels=((1, 2, 64),))
-        __, record = encode_record(totals)
+        record = RECORD_CODECS["replay"].encode(totals)
         assert "segments" not in record
-        assert decode_record("replay", record) == totals
+        assert RECORD_CODECS["replay"].decode(record) == totals

@@ -336,8 +336,8 @@ class TestFaultsCommand:
                                 "--rates", "0.05", "--out", str(path))
         assert code == 0
         assert f"artifact written to {path}" in out
-        from repro.sim.experiments import load_fault_artifact
-        assert load_fault_artifact(path).spec.rates == (0.05,)
+        from repro.sim.experiments import load_artifact
+        assert load_artifact(path).spec.rates == (0.05,)
 
     def test_out_directory_validated(self, capsys, tmp_path):
         code, __, err = run_cli(capsys, "faults", "--samples", "10",
@@ -370,8 +370,8 @@ class TestGranularityCommand:
         code, out, __ = run_cli(capsys, "granularity", "--samples", "40",
                                 "--out", str(path))
         assert code == 0
-        from repro.sim.experiments import load_granularity_artifact
-        loaded = load_granularity_artifact(path)
+        from repro.sim.experiments import load_artifact
+        loaded = load_artifact(path)
         assert [row["group_size"] for row in loaded.rows] == [1, 2, 4, 8]
 
 class TestSsoCommand:
@@ -411,8 +411,8 @@ class TestSsoCommand:
                                 "--out", str(path))
         assert code == 0
         assert f"artifact written to {path}" in out
-        from repro.sim.experiments import load_sso_artifact
-        loaded = load_sso_artifact(path)
+        from repro.sim.experiments import load_artifact
+        loaded = load_artifact(path)
         assert loaded.spec.interfaces == ("pod135", "lvstl11")
 
     def test_interface_choices_enforced(self, capsys):
@@ -456,6 +456,17 @@ class TestCtrlArtifacts:
         path = tmp_path / "junk.json"
         path.write_text("{\"format\": \"nope\"}\n")
         code, __, err = run_cli(capsys, "ctrl", "--from-artifact", str(path))
+        assert code == 2
+        assert "cannot load artifact" in err
+
+    def test_sweep_from_artifact_rejects_replay_kind(self, capsys,
+                                                     tmp_path):
+        path = tmp_path / "replay.json"
+        code, __, ___ = run_cli(capsys, "ctrl", "--bursts", "20",
+                                "--out", str(path))
+        assert code == 0
+        code, __, err = run_cli(capsys, "sweep-alpha", "--from-artifact",
+                                str(path))
         assert code == 2
         assert "cannot load artifact" in err
 
