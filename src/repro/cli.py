@@ -346,7 +346,7 @@ def _ctrl_trace(args: argparse.Namespace) -> Optional[dict]:
     from .workloads.population import RandomPopulation
 
     population = RandomPopulation(count=args.bursts, seed=args.seed)
-    return {"payload": b"".join(bytes(burst.data) for burst in population)}
+    return {"payload": population.to_bytes()}
 
 
 def _parse_operating_points(specs: Sequence[str], c_load_pf: float,

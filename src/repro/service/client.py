@@ -109,10 +109,11 @@ class ServiceClient:
         """
         self.connect()
         try:
-            self._file.write(json.dumps(dict(request),
-                                        separators=(",", ":"))
-                             .encode("utf-8"))
-            self._file.write(b"\n")
+            # One write per line: a newline sent apart from the body waits
+            # out Nagle plus the peer's delayed ACK once the line exceeds
+            # the file's buffer.
+            self._file.write((json.dumps(dict(request), separators=(",", ":"))
+                              + "\n").encode("utf-8"))
             self._file.flush()
             line = self._file.readline()
         except OSError:

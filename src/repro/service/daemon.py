@@ -138,7 +138,7 @@ def replay_spec_from_params(params: Mapping[str, object]) -> ReplaySpec:
         bursts = _int_param(params, "bursts", 2000)
         population = RandomPopulation(count=bursts,
                                       seed=int(params.get("seed", 0x0DB1)))
-        payload = b"".join(bytes(burst.data) for burst in population)
+        payload = population.to_bytes()
     interfaces = tuple(str(name) for name in
                        params.get("interfaces", ("pod135",)))
     return interface_replay_experiment(
@@ -301,10 +301,11 @@ class _LineHandler(socketserver.StreamRequestHandler):
         super().setup()
 
     def _send(self, response: Dict[str, object]) -> bool:
+        line = json.dumps(response, separators=(",", ":")) + "\n"
         try:
-            self.wfile.write(json.dumps(response,
-                                        separators=(",", ":")).encode("utf-8"))
-            self.wfile.write(b"\n")
+            # One write per line: a newline sent apart from the body waits
+            # out Nagle plus the peer's delayed ACK (~40 ms per response).
+            self.wfile.write(line.encode("utf-8"))
             self.wfile.flush()
             return True
         except OSError:  # client gone / stalled past the deadline

@@ -53,7 +53,7 @@ import json
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -371,10 +371,17 @@ def run_shards(spec: ExperimentSpec, count: int,
             # A killed worker breaks the whole pool, so each wave gets a
             # fresh one; only the shards that actually failed re-run.
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [(index, shard,
-                            pool.submit(_run_shard_task, shard, backend,
-                                        cache_dir, chunk_size))
-                           for index, shard in remaining]
+                futures = []
+                for index, shard in remaining:
+                    try:
+                        future = pool.submit(_run_shard_task, shard, backend,
+                                             cache_dir, chunk_size)
+                    except BrokenProcessPool as error:
+                        # A worker died before this shard was submitted:
+                        # count it as a failed attempt, like a queued one.
+                        future = Future()
+                        future.set_exception(error)
+                    futures.append((index, shard, future))
                 for index, shard, future in futures:
                     try:
                         result = future.result()

@@ -12,7 +12,10 @@ way CI does, with real processes:
    :func:`repro.sim.experiments.run_experiment` in *this* process and
    require the daemon's artifact to be byte-identical
    (:func:`repro.analysis.artifacts.canonical_artifact_json`) to the
-   direct result.
+   direct result;
+4. time :data:`WARM_PINGS` pings on the warm connection and require
+   their median to stay under :data:`PING_BOUND_MS` — a response line
+   that waits on the client's delayed ACK (~40 ms) cannot.
 
 Exit code 0 on success, 1 on any mismatch — suitable as a CI gate.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,11 @@ from .daemon import sweep_spec_from_params
 
 #: The serve CLI prints this; the smoke driver (and scripts) parse it.
 LISTENING_RE = re.compile(r"listening on (\S+):(\d+)")
+
+#: Warm pings timed per smoke run, and the bound on their median: half
+#: of Linux's 40 ms minimum delayed ACK.
+WARM_PINGS = 20
+PING_BOUND_MS = 20.0
 
 
 def _start_daemon(cache_dir: str, timeout_s: float = 30.0):
@@ -85,6 +94,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 warm_s = time.perf_counter() - start
 
                 stats = client.stats()
+
+                ping_ms = []
+                for __ in range(WARM_PINGS):
+                    start = time.perf_counter()
+                    client.ping()
+                    ping_ms.append((time.perf_counter() - start) * 1e3)
+                ping_p50_ms = statistics.median(ping_ms)
         finally:
             process.terminate()
             process.wait(timeout=10)
@@ -98,6 +114,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "populations instead of hitting the disk cache")
         if canonical_artifact_json(cold) != canonical_artifact_json(warm):
             failures.append("warm response differs from cold response")
+        if ping_p50_ms > PING_BOUND_MS:
+            failures.append(
+                f"median warm ping {ping_p50_ms:.2f} ms exceeds "
+                f"{PING_BOUND_MS:g} ms")
 
         direct = result_to_json(
             run_experiment(sweep_spec_from_params(params)))
@@ -109,7 +129,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"({cold['provenance']['encodes']} encodes) | "
               f"warm sweep: {warm_s:.3f}s "
               f"({warm['provenance']['encodes']} encodes) | "
-              f"cache entries: {stats['cache_entries']}")
+              f"cache entries: {stats['cache_entries']} | "
+              f"warm ping p50: {ping_p50_ms:.2f} ms")
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)

@@ -103,6 +103,10 @@ class BurstPopulation(abc.ABC):
             out.extend(chunk)
         return out
 
+    def to_bytes(self) -> bytes:
+        """The population's raw bytes, burst after burst."""
+        return b"".join(bytes(burst.data) for burst in self)
+
     def __iter__(self) -> Iterator[Burst]:
         for chunk in self.iter_chunks():
             yield from chunk
@@ -174,6 +178,11 @@ class RandomPopulation(BurstPopulation):
             carry = block[start:]
         if carry is not None and len(carry):
             yield carry
+
+    def to_bytes(self) -> bytes:
+        if _np is None:
+            return super().to_bytes()
+        return b"".join(chunk.tobytes() for chunk in self.iter_packed())
 
     def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE
                     ) -> Iterator[List[Burst]]:

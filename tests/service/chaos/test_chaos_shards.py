@@ -9,11 +9,14 @@ Stdlib-only; runs on both CI legs.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.analysis.artifacts import canonical_artifact_json
 from repro.service.faults import CRASH_POINTS_ENV
+from repro.service import shard as shard_module
 from repro.service.retry import RetryPolicy
 from repro.service.shard import (
     SHARD_RETRYABLE,
@@ -48,6 +51,27 @@ class TestKilledWorkers:
                             cache_dir=str(tmp_path / "cache"),
                             retry=RETRY, max_workers=2)
         assert sentinel.exists()
+        assert _canonical(merged) == _canonical(run_experiment(_spec()))
+
+    def test_pool_broken_before_submit_is_retried(self, tmp_path,
+                                                   monkeypatch):
+        """A worker can die before a later shard is submitted; the
+        refused submit must count as a failed attempt, not escape."""
+        submits = []
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args[1].name)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died before submit")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        merged = run_shards(_spec(), 2, processes=True,
+                            cache_dir=str(tmp_path / "cache"),
+                            retry=RETRY, max_workers=2)
+        assert len(submits) == 3  # the refused shard ran in a new wave
         assert _canonical(merged) == _canonical(run_experiment(_spec()))
 
     def test_multiple_kills_absorbed_in_one_call(self, tmp_path,

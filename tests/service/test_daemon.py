@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -31,6 +33,10 @@ from repro.sim.experiments import (
 SWEEP_PARAMS = {"figure": "alpha", "samples": 120, "points": 5, "seed": 42}
 REPLAY_PARAMS = {"bursts": 60, "seed": 9, "channels": 2, "lanes": 2,
                  "interfaces": ["pod135", "lvstl11"]}
+
+#: Per-request latency bound for the transport tests: half of Linux's
+#: 40 ms minimum delayed ACK, so a line that waits on an ACK always fails.
+TRANSPORT_BOUND_MS = 20.0
 
 
 @pytest.fixture()
@@ -135,6 +141,34 @@ class TestReplay:
                                  lanes=2)
         assert artifact["kind"] == "replay"
         assert artifact["spec"]["payload"]["bytes"] == len(payload)
+
+
+def _median_ms(call, repeats: int) -> float:
+    samples = []
+    for __ in range(repeats):
+        start = time.perf_counter()
+        call()
+        samples.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(samples)
+
+
+class TestTransport:
+    """Each JSON line is one write, so no request waits out Nagle plus
+    the peer's delayed ACK on a warm connection."""
+
+    def test_warm_ping_is_not_ack_bound(self, client):
+        client.ping()
+        assert _median_ms(client.ping, 21) < TRANSPORT_BOUND_MS
+
+    def test_large_request_line_is_not_ack_bound(self, client):
+        # A 16 KiB payload is a 32 KiB hex request line, more than the
+        # client's 8 KiB write buffer: this pins the client side too.
+        params = {"payload_hex": bytes(range(256)).hex() * 64,
+                  "channels": 2, "lanes": 2}
+        cold = client.replay(**params)
+        assert cold["spec"]["payload"]["bytes"] == 16384
+        assert (_median_ms(lambda: client.replay(**params), 9)
+                < TRANSPORT_BOUND_MS)
 
 
 class TestArtifacts:

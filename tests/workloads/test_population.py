@@ -4,12 +4,17 @@ import pytest
 
 from repro.core.burst import Burst
 from repro.workloads.population import (
+    GENERATION_BLOCK,
     BurstPopulation,
     ExplicitPopulation,
     OpaquePopulation,
     RandomPopulation,
     as_population,
 )
+
+
+def _burst_join(population):
+    return b"".join(bytes(burst.data) for burst in population)
 
 
 class TestRandomPopulation:
@@ -83,6 +88,13 @@ class TestRandomPopulation:
         assert [tuple(row) for row in packed.tolist()] == [
             burst.data for burst in population.bursts()]
 
+    @pytest.mark.parametrize("count", [1, 2000, GENERATION_BLOCK - 1,
+                                       GENERATION_BLOCK,
+                                       GENERATION_BLOCK + 1])
+    def test_to_bytes_matches_bursts(self, count):
+        population = RandomPopulation(count, seed=11)
+        assert population.to_bytes() == _burst_join(population)
+
 
 class TestExplicitPopulation:
     def test_empty_rejected(self):
@@ -102,6 +114,12 @@ class TestExplicitPopulation:
         assert population.burst_length is None
         with pytest.raises(ValueError):
             list(population.iter_packed())
+
+    def test_to_bytes_matches_bursts(self):
+        population = ExplicitPopulation([Burst([1, 2, 3]), Burst([250, 0]),
+                                         Burst([7])])
+        assert population.to_bytes() == bytes([1, 2, 3, 250, 0, 7])
+        assert population.to_bytes() == _burst_join(population)
 
     def test_digest_tracks_content(self):
         a = ExplicitPopulation([Burst([1, 2])])
@@ -126,6 +144,14 @@ class TestOpaquePopulation:
         assert population.digest() == "sha256:feed"
         with pytest.raises(RuntimeError):
             population.bursts()
+
+    def test_to_bytes_raises_like_iter_chunks(self):
+        population = OpaquePopulation("sha256:feed", count=5, burst_length=8)
+        with pytest.raises(RuntimeError) as chunks_error:
+            next(population.iter_chunks())
+        with pytest.raises(RuntimeError) as bytes_error:
+            population.to_bytes()
+        assert str(bytes_error.value) == str(chunks_error.value)
 
 
 class TestAsPopulation:
