@@ -11,7 +11,7 @@ from conftest import emit
 from repro.core.costs import CostModel
 from repro.core.encoder import DbiOptimal, DbiOptimalQuantized
 from repro.sim.report import markdown_table
-from repro.sim.sweep import collect_activity
+from repro.sim.experiments import population_activity
 
 BITS = (1, 2, 3, 4, 6)
 FRACTIONS = (0.15, 0.35, 0.5, 0.65, 0.85)
@@ -25,9 +25,11 @@ def _quantisation_table(population):
         row = [f"{bits}-bit"]
         for fraction in FRACTIONS:
             model = CostModel.from_ac_fraction(fraction)
-            exact = collect_activity(DbiOptimal(model), population).mean_cost(model)
-            quantized = collect_activity(
-                DbiOptimalQuantized(model, bits=bits), population).mean_cost(model)
+            exact = population_activity(DbiOptimal(model),
+                                        population).mean_cost(model)
+            quantized = population_activity(
+                DbiOptimalQuantized(model, bits=bits),
+                population).mean_cost(model)
             loss = 100.0 * (quantized / exact - 1.0)
             worst = max(worst, loss)
             row.append(f"{loss:.3f}%")

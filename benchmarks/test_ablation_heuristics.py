@@ -12,7 +12,7 @@ from repro.baselines import DbiGreedyWeighted
 from repro.core.costs import CostModel
 from repro.core.encoder import DbiOptimal
 from repro.sim.report import markdown_table
-from repro.sim.sweep import collect_activity
+from repro.sim.experiments import population_activity
 
 FRACTIONS = (0.2, 0.35, 0.5, 0.65, 0.8)
 
@@ -22,9 +22,10 @@ def _heuristic_gaps(population):
     gaps = {}
     for fraction in FRACTIONS:
         model = CostModel.from_ac_fraction(fraction)
-        optimal = collect_activity(DbiOptimal(model), population).mean_cost(model)
-        greedy = collect_activity(DbiGreedyWeighted(model),
-                                  population).mean_cost(model)
+        optimal = population_activity(DbiOptimal(model),
+                                      population).mean_cost(model)
+        greedy = population_activity(DbiGreedyWeighted(model),
+                                     population).mean_cost(model)
         gap = 100.0 * (greedy / optimal - 1.0)
         gaps[fraction] = gap
         rows.append([f"{fraction:.2f}", f"{optimal:.3f}", f"{greedy:.3f}",

@@ -91,12 +91,12 @@ def test_throughput_opt_vector_batch(benchmark, packed_10k):
 @needs_numpy
 def test_throughput_collect_activity_vector(benchmark):
     """The sweep hot path: whole-population activity tally, vector backend."""
-    from repro.sim.sweep import collect_activity
+    from repro.sim.experiments import population_activity
     from repro.workloads.random_data import random_bursts
 
     bursts = random_bursts(count=SPEEDUP_BATCH, seed=0x0DB1)
     scheme = DbiOptimal(CostModel.fixed())
-    totals = benchmark(collect_activity, scheme, bursts, "vector")
+    totals = benchmark(population_activity, scheme, bursts, "vector")
     assert totals.bursts == SPEEDUP_BATCH
 
 

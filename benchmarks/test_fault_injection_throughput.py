@@ -9,10 +9,11 @@ both backends:
   and extrapolated linearly — it is linear in faults by construction);
 * **mask-parallel** — :func:`fault_sweep_batch`: all faults packed into
   the :mod:`repro.hw.bitsim` word representation, XOR injection and
-  popcount tallies, under both word implementations (``uint64`` NumPy
-  lanes and pure-Python big ints).
+  popcount tallies, under both word kernels (``uint64`` NumPy lanes and
+  pure-Python big ints), each swapped in as the platform kernel
+  :data:`repro.hw.bitsim.KERNEL`.
 
-The gate requires the auto word implementation (``uint64`` whenever
+The gate requires the platform's word kernel (``uint64`` whenever
 NumPy is present, as on this CI job) to be **>= 10x faster**, with
 bit-identical statistics on the parity prefix; the pure-int row is
 reported ungated — it is the no-NumPy fallback, not the production
@@ -39,6 +40,7 @@ from repro.extensions.reliability import (
     fault_sweep,
     fault_sweep_batch,
 )
+from repro.hw import bitsim
 from repro.workloads.population import RandomPopulation
 
 try:
@@ -53,7 +55,7 @@ BENCH_BURSTS = int(os.environ.get("REPRO_BENCH_FAULT_BURSTS", "10000"))
 FAULTS_PER_BURST = 10
 SEED = 7
 
-#: Required wall-clock advantage of the gated (auto) word implementation.
+#: Required wall-clock advantage of the gated (platform) word kernel.
 SPEEDUP_FLOOR = 10.0
 
 #: The reference is timed on 1/N of the workload and extrapolated.
@@ -83,7 +85,7 @@ def _write_artifact(payload):
 
 
 @pytest.mark.skipif(not HAVE_NUMPY,
-                    reason="the gated word implementation requires NumPy")
+                    reason="the gated word kernel requires NumPy")
 def test_fault_injection_throughput_gate():
     bursts = RandomPopulation(count=BENCH_BURSTS, seed=0x0DB1).bursts()
     scheme = get_scheme("dbi-opt")
@@ -103,18 +105,21 @@ def test_fault_injection_throughput_gate():
                              seed=SEED) == reference_stats
 
     rows = []
-    for word_impl, gated in (("uint64", True), ("int", False)):
-        stats = fault_sweep_batch(scheme, bursts,
-                                  faults_per_burst=FAULTS_PER_BURST,
-                                  seed=SEED, word_impl=word_impl)
-        elapsed = _best_of(
-            TIMING_REPS,
-            lambda: fault_sweep_batch(scheme, bursts,
+    for kernel, gated in ((bitsim.Uint64Kernel(), True),
+                          (bitsim.IntKernel(), False)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitsim, "KERNEL", kernel)
+            stats = fault_sweep_batch(scheme, bursts,
                                       faults_per_burst=FAULTS_PER_BURST,
-                                      seed=SEED, word_impl=word_impl))
+                                      seed=SEED)
+            elapsed = _best_of(
+                TIMING_REPS,
+                lambda: fault_sweep_batch(scheme, bursts,
+                                          faults_per_burst=FAULTS_PER_BURST,
+                                          seed=SEED))
         assert stats.injected_faults == BENCH_BURSTS * FAULTS_PER_BURST
         rows.append({
-            "word_impl": word_impl,
+            "word_impl": kernel.name,
             "gated": gated,
             "batch_s": round(elapsed, 4),
             "speedup": round(t_reference / elapsed, 1),

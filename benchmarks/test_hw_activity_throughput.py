@@ -8,6 +8,10 @@ Times :meth:`Netlist.simulate_activity` three ways over the same
   arbitrary-width Python integers (no NumPy involved);
 * **uint64** — the same program over NumPy ``uint64`` lane arrays.
 
+Each bit-parallel leg swaps its kernel in as the platform kernel
+(``monkeypatch`` on :data:`repro.hw.bitsim.KERNEL`), the same seam the
+test-suite's ``word_kernel`` fixture uses.
+
 The gate requires the *pure-Python* bit-parallel path alone to be
 **>= 20x faster** than the scalar interpreter on the Fig. 5
 fixed-coefficient OPT encoder at ``REPRO_BENCH_ACTIVITY_VECTORS``
@@ -25,6 +29,7 @@ import time
 
 from conftest import emit, write_artifact
 
+from repro.hw import bitsim
 from repro.hw.bitsim import compile_netlist
 from repro.hw.encoders import build_dc_encoder, build_opt_encoder
 from repro.hw.netlist import Netlist
@@ -65,7 +70,8 @@ def _time(function):
     return time.perf_counter() - start, result
 
 
-def _measure(netlist: Netlist, vectors, reference_fraction: int = 1):
+def _measure(monkeypatch, netlist: Netlist, vectors,
+             reference_fraction: int = 1):
     """Wall-clock one design across all engines; returns a result row."""
     compiled = compile_netlist(netlist)
     reference_vectors = vectors[:len(vectors) // reference_fraction]
@@ -73,14 +79,14 @@ def _measure(netlist: Netlist, vectors, reference_fraction: int = 1):
         lambda: netlist.simulate_activity(iter(reference_vectors),
                                           backend="reference"))
     t_reference *= reference_fraction
+    monkeypatch.setattr(bitsim, "KERNEL", bitsim.IntKernel())
     t_int, report_int = _time(
-        lambda: compiled.simulate_activity(iter(vectors), word_impl="int"))
+        lambda: compiled.simulate_activity(iter(vectors)))
     # Bit-identity is checked on exactly the vectors the scalar engine
     # simulated: the timed run itself unless the reference was
     # subsampled for timing.
     if reference_fraction > 1:
-        parity = compiled.simulate_activity(iter(reference_vectors),
-                                            word_impl="int")
+        parity = compiled.simulate_activity(iter(reference_vectors))
     else:
         parity = report_int
     assert parity.gate_toggles == reference.gate_toggles
@@ -94,9 +100,9 @@ def _measure(netlist: Netlist, vectors, reference_fraction: int = 1):
         "speedup_int": round(t_reference / t_int, 1),
     }
     if HAVE_NUMPY:
+        monkeypatch.setattr(bitsim, "KERNEL", bitsim.Uint64Kernel())
         t_u64, report_u64 = _time(
-            lambda: compiled.simulate_activity(iter(vectors),
-                                               word_impl="uint64"))
+            lambda: compiled.simulate_activity(iter(vectors)))
         assert report_u64.gate_toggles == report_int.gate_toggles
         row["uint64_s"] = round(t_u64, 4)
         row["speedup_uint64"] = round(t_reference / t_u64, 1)
@@ -113,10 +119,10 @@ def _write_artifact(rows):
     })
 
 
-def test_activity_throughput_gate():
+def test_activity_throughput_gate(monkeypatch):
     vectors = _vectors(BENCH_VECTORS)
-    dc_row = _measure(build_dc_encoder(8), vectors)
-    opt_row = _measure(build_opt_encoder(8), vectors,
+    dc_row = _measure(monkeypatch, build_dc_encoder(8), vectors)
+    opt_row = _measure(monkeypatch, build_opt_encoder(8), vectors,
                        reference_fraction=OPT_REFERENCE_FRACTION)
     rows = [dc_row, opt_row]
     path = _write_artifact(rows)

@@ -9,10 +9,10 @@ Tallies the per-beat switching statistics of ``REPRO_BENCH_SSO_BURSTS``
 * **word-parallel** — :func:`sso_of_scheme_batch`: one
   ``batch_flags`` encode, transition words packed into bit planes, the
   histogram read off carry-save counter planes with popcounts, under
-  both word implementations (``uint64`` NumPy lanes and pure-Python big
-  ints).
+  both word kernels (``uint64`` NumPy lanes and pure-Python big ints),
+  each swapped in as the platform kernel :data:`repro.hw.bitsim.KERNEL`.
 
-The gate requires the ``uint64`` word implementation (the auto pick
+The gate requires the ``uint64`` word kernel (the platform's kernel
 whenever NumPy is present, as on this CI job) to be **>= 10x faster**,
 with bit-identical statistics on the parity prefix; the pure-int row is
 reported ungated — it is the no-NumPy fallback, not the production
@@ -34,6 +34,7 @@ from conftest import emit, write_artifact
 
 from repro.analysis.sso import sso_of_scheme, sso_of_scheme_batch
 from repro.core.schemes import get_scheme
+from repro.hw import bitsim
 from repro.phy.bus import MemoryBus
 from repro.workloads.population import RandomPopulation
 
@@ -46,7 +47,7 @@ except ImportError:  # pragma: no cover - benches are skipped without NumPy
 #: Workload size of the gate.
 BENCH_BURSTS = int(os.environ.get("REPRO_BENCH_SSO_BURSTS", "10000"))
 
-#: Required wall-clock advantage of the gated (auto) word implementation.
+#: Required wall-clock advantage of the gated (platform) word kernel.
 SPEEDUP_FLOOR = 10.0
 
 #: The reference is timed on 1/N of the workload and extrapolated.
@@ -76,7 +77,7 @@ def _write_artifact(payload):
 
 
 @pytest.mark.skipif(not HAVE_NUMPY,
-                    reason="the gated word implementation requires NumPy")
+                    reason="the gated word kernel requires NumPy")
 def test_sso_throughput_gate():
     bursts = RandomPopulation(count=BENCH_BURSTS, seed=0x0DB1).bursts()
     scheme = get_scheme("dbi-opt")
@@ -90,14 +91,16 @@ def test_sso_throughput_gate():
     assert sso_of_scheme_batch(scheme, prefix) == reference_stats
 
     rows = []
-    for word_impl, gated in (("uint64", True), ("int", False)):
-        stats = sso_of_scheme_batch(scheme, bursts, word_impl=word_impl)
-        elapsed = _best_of(
-            TIMING_REPS,
-            lambda: sso_of_scheme_batch(scheme, bursts, word_impl=word_impl))
+    for kernel, gated in ((bitsim.Uint64Kernel(), True),
+                          (bitsim.IntKernel(), False)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitsim, "KERNEL", kernel)
+            stats = sso_of_scheme_batch(scheme, bursts)
+            elapsed = _best_of(
+                TIMING_REPS, lambda: sso_of_scheme_batch(scheme, bursts))
         assert stats.beats == sum(len(burst) for burst in bursts)
         rows.append({
-            "word_impl": word_impl,
+            "word_impl": kernel.name,
             "gated": gated,
             "batch_s": round(elapsed, 4),
             "speedup": round(t_reference / elapsed, 1),

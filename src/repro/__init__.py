@@ -43,7 +43,7 @@ Two interchangeable execution backends produce bit-identical results:
   makes million-burst sweeps practical.
 
 Batch entry points (``DbiScheme.encode_batch``, ``sim.runner.evaluate``,
-``sim.sweep.collect_activity`` and the figure sweeps) accept
+``sim.experiments.population_activity`` and the figure sweeps) accept
 ``backend="auto" | "reference" | "vector"``; ``auto`` (default) uses
 ``vector`` whenever NumPy is importable.  The process-wide default can be
 set with :func:`repro.set_default_backend` or the ``REPRO_BACKEND``
@@ -83,7 +83,6 @@ from .core import (
     set_default_backend,
     solve,
     solve_batch,
-    solve_stream_batch,
 )
 from .baselines import BusInvert, DbiAc, DbiAcDc, DbiDc, DbiGreedyWeighted, Raw
 
@@ -119,6 +118,5 @@ __all__ = [
     "set_default_backend",
     "solve",
     "solve_batch",
-    "solve_stream_batch",
     "__version__",
 ]

@@ -521,7 +521,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     spec = fault_experiment(_axis_population(args),
                             schemes=list(dict.fromkeys(args.schemes)),
                             rates=tuple(args.rates), seed=args.fault_seed)
-    result = run_faults(spec, backend=args.backend, word_impl=args.word_impl,
+    result = run_faults(spec, backend=args.backend,
                         cache=open_cache(args.cache_dir))
     rows: List[List[object]] = []
     for slot_name, _scheme in spec.slots:
@@ -566,7 +566,7 @@ def _cmd_sso(args: argparse.Namespace) -> int:
                           schemes=list(dict.fromkeys(args.schemes)),
                           interfaces=list(dict.fromkeys(args.interfaces)),
                           chained=args.chained, threshold=args.threshold)
-    result = run_sso(spec, backend=args.backend, word_impl=args.word_impl,
+    result = run_sso(spec, backend=args.backend,
                      cache=open_cache(args.cache_dir))
     # Rank worst-first: highest peak switching, then highest mean.
     flat = [(slot_name, row)
@@ -825,11 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-lane-beat fault probabilities")
     faults.add_argument("--fault-seed", dest="fault_seed", type=int,
                         default=7, help="error-mask stream seed (default: 7)")
-    faults.add_argument("--word-impl", dest="word_impl",
-                        choices=("auto", "int", "uint64"), default="auto",
-                        help="mask-parallel word representation (default: "
-                             "auto — uint64 lanes with NumPy, big ints "
-                             "without)")
     _add_backend_argument(faults)
     _add_cache_dir_argument(faults)
     faults.add_argument("--out", metavar="PATH",
@@ -881,11 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     sso.add_argument("--threshold", type=int, default=4, metavar="K",
                      help="report the fraction of beats with more than K "
                           "toggling lanes (default: 4)")
-    sso.add_argument("--word-impl", dest="word_impl",
-                     choices=("auto", "int", "uint64"), default="auto",
-                     help="word-parallel tally representation (default: "
-                          "auto — uint64 lanes with NumPy, big ints "
-                          "without)")
     _add_backend_argument(sso)
     _add_cache_dir_argument(sso)
     sso.add_argument("--out", metavar="PATH",

@@ -31,7 +31,8 @@ the reference exactly (the differential suite in
 Backend selection
 -----------------
 Batch entry points (:meth:`repro.core.schemes.DbiScheme.encode_batch`,
-:func:`repro.sim.sweep.collect_activity`, :func:`repro.sim.runner.evaluate`)
+:func:`repro.sim.experiments.population_activity`,
+:func:`repro.sim.runner.evaluate`)
 accept ``backend="reference" | "vector" | "auto"``.  ``auto`` (the
 default) picks ``vector`` whenever NumPy is importable and falls back to
 the pure-Python reference otherwise.  The process-wide default can be
@@ -388,20 +389,6 @@ def _select(cond, if_true, if_false):
     return if_false ^ ((if_true ^ if_false) * cond)
 
 
-def solve_stream_batch(data, model,
-                       prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD):
-    """Batched :func:`repro.core.streaming.solve_stream`.
-
-    Each row of ``data`` is an independent byte *stream* solved jointly
-    optimally from its own boundary word — the batched counterpart of the
-    streaming/chained mode.  The trellis of a stream is identical to the
-    trellis of one long burst, so this shares :func:`solve_batch`; the
-    separate name documents the intent and keeps per-row ``prev_words``
-    front and centre.
-    """
-    return solve_batch(data, model, prev_words=prev_words)
-
-
 # -- baseline scheme kernels -------------------------------------------------
 
 def raw_flags(data, prev_words=ALL_ONES_WORD):
@@ -529,9 +516,9 @@ def scheme_batch_activity(scheme, data, prev_word: int = ALL_ONES_WORD,
 
     The shared tally pipeline behind the sim layer's vector fast paths
     (:func:`repro.sim.runner.run_scheme`,
-    :func:`repro.sim.sweep.collect_activity`): compute the scheme's batch
-    flags, materialise the wire words, and tally either per-burst
-    (independent boundaries) or threaded (chained) activity.
+    :func:`repro.sim.experiments.population_activity`): compute the
+    scheme's batch flags, materialise the wire words, and tally either
+    per-burst (independent boundaries) or threaded (chained) activity.
 
     Returns ``(flags, total_transitions, total_zeros)`` with the totals
     as Python ints.

@@ -20,9 +20,9 @@ differential suites in ``tests/extensions/`` pin bit-identical:
   mask-parallel engine XORs packed error-mask planes into the
   :mod:`repro.hw.bitsim` word representation and tallies decoded bit
   errors with popcounts.  Like the gate-level layer — and unlike the
-  encoding layer — the batched engine works *without* NumPy (packing
-  into arbitrary-width Python ints; ``word_impl`` selects the word
-  representation), so ``auto`` always resolves to it.
+  encoding layer — the batched engine works *without* NumPy (the
+  platform's word kernel packs into arbitrary-width Python ints there,
+  ``uint64`` lanes with NumPy), so ``auto`` always resolves to it.
 
 This module, like every ``repro`` package, imports without NumPy
 installed; NumPy is consulted lazily inside the vector fast paths only.

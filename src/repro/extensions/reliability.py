@@ -23,17 +23,17 @@ per-burst reference: one Python decode per injected fault.
 :func:`fault_sweep_batch` and :func:`fault_coverage_curve` are the
 mask-parallel engines: every fault of the whole population is packed
 into the :mod:`repro.hw.bitsim` word representation (one word per wire
-lane, one *bit* per fault vector — arbitrary-precision Python ints or
-NumPy ``uint64`` lane arrays, selected by ``word_impl`` exactly like
-:class:`~repro.hw.bitsim.CompiledNetlist`), fault masks are XOR-ed into
-the encoded word planes, the DBI decode runs plane-wise, and bit-error
+lane, one *bit* per fault vector, in the platform's word kernel: NumPy
+``uint64`` lane arrays when NumPy imports, arbitrary-precision Python
+ints without it), fault masks are XOR-ed into the encoded word planes,
+the DBI decode runs plane-wise, and bit-error
 tallies come from popcounts of the decoded-difference planes.  Entry
 points accept ``backend="auto" | "reference" | "vector"``; like the
 gate-level layer (:func:`repro.hw.bitsim.resolve_sim_backend`), ``auto``
 resolves to the mask-parallel engine even without NumPy, because the
 pure-int packing is itself a large win.  Both backends share one
 pure-Python ``random.Random`` draw path, so statistics are bit-identical
-across backends, word implementations and the CI NumPy matrix.
+across backends, word kernels and the CI NumPy matrix.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from ..core.bitops import (
 from ..core.burst import Burst
 from ..core.schemes import DbiScheme, EncodedBurst
 from ..core.vectorized import flags_to_words, try_vector_pack
-from ..hw.bitsim import get_kernel, resolve_sim_backend
+from ..hw.bitsim import active_kernel, resolve_sim_backend
 
 
 def decode_with_faults(words: Sequence[int],
@@ -229,8 +229,8 @@ def _batch_wire_words(scheme: DbiScheme, burst_list: Sequence[Burst]):
     return flags_to_words(data, scheme.batch_flags(data, prev))
 
 
-def _tally_masked_faults(values: Sequence[int], masks: Sequence[int],
-                         word_impl: str = "auto") -> FaultStatistics:
+def _tally_masked_faults(values: Sequence[int],
+                         masks: Sequence[int]) -> FaultStatistics:
     """Decode-and-tally for one fault per vector, mask-parallel.
 
     ``values[f]`` is the clean 9-bit wire word fault *f* lands on,
@@ -239,7 +239,7 @@ def _tally_masked_faults(values: Sequence[int], masks: Sequence[int],
     is bit *l* of vector *f* — so the XOR injection, the plane-wise DBI
     decode and the error popcounts each touch all faults at once.
     """
-    kernel = get_kernel(word_impl)
+    kernel = active_kernel()
     n = len(values)
     planes = kernel.pack_bus(values, WORD_WIDTH, n)
     mask_planes = kernel.pack_bus(masks, WORD_WIDTH, n)
@@ -265,8 +265,7 @@ def _tally_masked_faults(values: Sequence[int], masks: Sequence[int],
 
 def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
                       faults_per_burst: int = 1, seed: int = 7,
-                      backend: Optional[str] = None,
-                      word_impl: str = "auto") -> FaultStatistics:
+                      backend: Optional[str] = None) -> FaultStatistics:
     """Mask-parallel :func:`fault_sweep`: identical statistics, batched.
 
     Draws the same ``(beat, lane)`` faults as :func:`fault_sweep` (the
@@ -278,9 +277,7 @@ def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
 
     ``backend`` follows :func:`repro.hw.bitsim.resolve_sim_backend`
     (``auto`` picks the mask-parallel engine even without NumPy;
-    ``reference`` delegates to the per-burst sweep).  ``word_impl``
-    selects the packed word representation exactly as for
-    :class:`~repro.hw.bitsim.CompiledNetlist`.
+    ``reference`` delegates to the per-burst sweep).
     """
     if faults_per_burst < 1:
         raise ValueError("faults_per_burst must be >= 1")
@@ -304,7 +301,7 @@ def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
         burst_words = [enc.words for enc in encoded]
         values = [words[beat] for words, faults in zip(burst_words, positions)
                   for beat, _lane in faults]
-    return _tally_masked_faults(values, masks, word_impl)
+    return _tally_masked_faults(values, masks)
 
 
 def draw_fault_masks(n_words: int, rate: float, seed: int) -> List[int]:
@@ -371,8 +368,8 @@ DEFAULT_FAULT_RATES = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 def fault_coverage_curve(scheme: DbiScheme, bursts: Sequence[Burst],
                          rates: Sequence[float] = DEFAULT_FAULT_RATES,
-                         seed: int = 7, backend: Optional[str] = None,
-                         word_impl: str = "auto") -> List[FaultCoverageRow]:
+                         seed: int = 7, backend: Optional[str] = None
+                         ) -> List[FaultCoverageRow]:
     """Decoded-error statistics versus raw fault rate, one row per rate.
 
     Every lane-beat of the encoded population flips independently with
@@ -393,7 +390,7 @@ def fault_coverage_curve(scheme: DbiScheme, bursts: Sequence[Burst],
     total = len(values)
     rows: List[FaultCoverageRow] = []
     if resolve_sim_backend(backend) == "vector":
-        kernel = get_kernel(word_impl)
+        kernel = active_kernel()
         planes = kernel.pack_bus(values, WORD_WIDTH, total)
         valid = kernel.valid_mask(total)
         flip_clean = planes[BYTE_WIDTH] ^ valid

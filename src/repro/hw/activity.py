@@ -83,7 +83,7 @@ def _packed_activity(netlist: Netlist, packed_chunks,
     workload) become constant words.
     """
     compiled = bitsim.compile_netlist(netlist)
-    kernel = bitsim.get_kernel("uint64")
+    kernel = bitsim.active_kernel()
     inputs = netlist.inputs
 
     # Mirror the per-vector contract of burst_to_vector exactly: any
@@ -179,14 +179,13 @@ def measure_activity(netlist: Netlist, n_bursts: Optional[int] = None,
             f"{len(population)} bursts")
 
     resolved = bitsim.resolve_sim_backend(backend)
-    if (resolved == "vector" and "uint64" in bitsim._KERNELS
-            and population.burst_length is not None):
-        kernel = bitsim.get_kernel("uint64")
-        chunks = population.iter_packed(kernel.default_chunk)
+    if resolved == "vector" and population.burst_length is not None:
+        chunks = population.iter_packed(
+            bitsim.active_kernel().default_chunk)
         # Probe the first chunk only: a source that cannot yield packed
-        # arrays (OpaquePopulation, exotic custom populations) falls back
-        # to dict packing here; errors from the simulation itself
-        # propagate normally.
+        # arrays (no NumPy, OpaquePopulation, exotic custom populations)
+        # falls back to dict packing here; errors from the simulation
+        # itself propagate normally.
         try:
             head = next(chunks)
         except StopIteration:

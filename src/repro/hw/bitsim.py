@@ -14,18 +14,24 @@ evaluates every gate once per W vectors using the cells' lane-wise
 ``word ^ (word >> 1)`` transition words, so an activity run touches each
 gate ``ceil(n_vectors / W)`` times instead of ``n_vectors`` times.
 
-Two word implementations share the engine:
+Two word kernels implement the engine's word operations:
 
-* ``"int"`` — arbitrary-precision Python integers, W = :data:`INT_CHUNK_VECTORS`
-  bits per word.  Dependency-free; CPython's bignum kernels do the heavy
-  lifting 64 bits per machine word.
-* ``"uint64"`` — NumPy ``uint64`` lane arrays, W = 64 bits per array
-  element over :data:`UINT64_CHUNK_VECTORS`-vector chunks.
+* :class:`IntKernel` (``"int"``) — arbitrary-precision Python integers,
+  W = :data:`INT_CHUNK_VECTORS` bits per word.  Dependency-free;
+  CPython's bignum kernels do the heavy lifting 64 bits per machine word.
+* :class:`Uint64Kernel` (``"uint64"``) — NumPy ``uint64`` lane arrays,
+  W = 64 bits per array element over :data:`UINT64_CHUNK_VECTORS`-vector
+  chunks.
 
+Which one runs is a platform decision, not an option: :data:`KERNEL` is
+fixed at import time (``uint64`` when NumPy imports, else ``int``) and
+every consumer — gate-level activity, the phy lane tallies, the SSO
+engine, fault injection — reads it through :func:`active_kernel` when
+called.
 Both are *bit-identical* to the scalar interpreter: every gate computes
 the same boolean function on the same operand order, and toggle counts
 are exact integers (``tests/hw/test_bitsim.py`` holds the differential
-parity suite).
+parity suite, run once per kernel importable on the host).
 
 Backend selection mirrors the encoding layer: entry points accept
 ``backend="auto" | "reference" | "vector"`` (default from
@@ -70,10 +76,6 @@ INT_CHUNK_VECTORS = 16384
 #: net — one contiguous 8 KiB array per net value).
 UINT64_CHUNK_VECTORS = 65536
 
-#: Recognised word implementations (``auto`` = ``uint64`` when NumPy is
-#: importable, else ``int``).
-WORD_IMPLS = ("auto", "int", "uint64")
-
 _VALIDATION_MESSAGE = "activity simulation needs at least 2 vectors"
 
 
@@ -93,18 +95,6 @@ def resolve_sim_backend(backend: Optional[str] = None) -> str:
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; choose from {BACKENDS}")
     return "vector" if name == "auto" else name
-
-
-def resolve_word_impl(word_impl: str = "auto") -> str:
-    """Resolve ``auto`` to the fastest available word implementation."""
-    if word_impl not in WORD_IMPLS:
-        raise ValueError(
-            f"unknown word_impl {word_impl!r}; choose from {WORD_IMPLS}")
-    if word_impl == "auto":
-        return "int" if _np is None else "uint64"
-    if word_impl == "uint64" and _np is None:
-        raise RuntimeError("word_impl='uint64' requires NumPy")
-    return word_impl
 
 
 # -- cell word forms ----------------------------------------------------------
@@ -148,7 +138,7 @@ def word_function_for(cell: Cell) -> Callable[..., int]:
 
 # -- word kernels -------------------------------------------------------------
 
-class _IntKernel:
+class IntKernel:
     """Word operations over arbitrary-precision Python integers."""
 
     name = "int"
@@ -229,7 +219,7 @@ else:  # pragma: no cover - exercised only on Python 3.9
         return bin(value).count("1")
 
 
-class _Uint64Kernel:
+class Uint64Kernel:
     """Word operations over NumPy ``uint64`` lane arrays."""
 
     name = "uint64"
@@ -334,17 +324,25 @@ class _Uint64Kernel:
         return _np.unpackbits(raw, bitorder="little", count=n_vectors)
 
 
-_KERNELS: Dict[str, object] = {"int": _IntKernel()}
-if _np is not None:
-    _KERNELS["uint64"] = _Uint64Kernel()
+#: The platform's word kernel: :class:`Uint64Kernel` when NumPy imports,
+#: else :class:`IntKernel`.  Read through :func:`active_kernel` at call
+#: time, so a test can swap it (``monkeypatch.setattr``) to run either.
+KERNEL = IntKernel() if _np is None else Uint64Kernel()
 
 
-def get_kernel(word_impl: str = "auto"):
-    """The word-operation kernel for a (resolved) word implementation."""
-    return _KERNELS[resolve_word_impl(word_impl)]
+def active_kernel():
+    """The word kernel every bit-parallel entry point runs."""
+    return KERNEL
 
 
-_kernel = get_kernel
+def resolve_word_impl(request: str = "auto") -> str:
+    """Name of the kernel that runs (``"uint64"`` or ``"int"``), for run
+    provenance.  ``"auto"`` is the only request: the platform picks the
+    kernel."""
+    if request != "auto":
+        raise ValueError(f"the word kernel is not selectable; got "
+                         f"{request!r}, only 'auto' is accepted")
+    return KERNEL.name
 
 
 # -- the compiled program -----------------------------------------------------
@@ -391,7 +389,7 @@ class CompiledNetlist:
     Compilation walks the (already topological) gate list once, resolving
     each cell to its lane-wise word function and binding the net indices
     into per-gate closures.  The result is reusable across runs and
-    word implementations; build via :func:`compile_netlist`, which caches
+    word kernels; build via :func:`compile_netlist`, which caches
     on the netlist instance.
     """
 
@@ -480,11 +478,10 @@ class CompiledNetlist:
                               n_cycles=total_vectors - 1)
 
     def simulate_activity(self, vectors: Iterable[Mapping[str, int]],
-                          word_impl: str = "auto",
                           chunk_vectors: Optional[int] = None
                           ) -> ActivityReport:
         """Bit-parallel equivalent of :meth:`Netlist.simulate_activity`."""
-        kernel = _kernel(word_impl)
+        kernel = active_kernel()
         chunk = chunk_vectors or kernel.default_chunk
         if chunk < 1:
             raise ValueError(f"chunk_vectors must be >= 1, got {chunk}")
@@ -498,11 +495,10 @@ class CompiledNetlist:
 
     # -- functional evaluation ------------------------------------------------
     def evaluate_batch(self, assignments: Sequence[Mapping[str, int]],
-                       word_impl: str = "auto",
                        chunk_vectors: Optional[int] = None
                        ) -> List[Dict[str, int]]:
         """Bit-parallel equivalent of per-vector :meth:`Netlist.evaluate`."""
-        kernel = _kernel(word_impl)
+        kernel = active_kernel()
         chunk = chunk_vectors or kernel.default_chunk
         if chunk < 1:
             raise ValueError(f"chunk_vectors must be >= 1, got {chunk}")

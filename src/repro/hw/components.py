@@ -253,11 +253,3 @@ def multiply(nl: Netlist, a_bits: Sequence[int], b_bits: Sequence[int]) -> List[
         partial += [zero] * (width - len(partial))
         acc = ripple_adder(nl, acc, partial, width=width)
     return acc
-
-
-def bus_value(bits: Sequence[int], values: Sequence[int]) -> int:
-    """Helper for tests: pack simulated net *values* of a bus into an int."""
-    word = 0
-    for position, net in enumerate(bits):
-        word |= values[net] << position
-    return word

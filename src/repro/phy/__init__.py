@@ -37,8 +37,8 @@ engines with bit-identical results:
 * **word-parallel** — :meth:`~repro.phy.lane.LaneGroup.drive_words_batch`
   packs each wire's beat stream into one bit plane and tallies
   zero-beats/transitions with the popcount kernels of
-  :mod:`repro.hw.bitsim` (``word_impl="int"`` works without NumPy,
-  ``"uint64"`` uses packed NumPy lanes), and :class:`MemoryBus` on the
+  :mod:`repro.hw.bitsim` (packed NumPy ``uint64`` lanes when NumPy
+  imports, Python ints without it), and :class:`MemoryBus` on the
   ``vector`` backend encodes each lane's whole burst train through
   :meth:`~repro.core.schemes.DbiScheme.batch_flags` with state threaded
   across bursts.

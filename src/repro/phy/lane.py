@@ -15,7 +15,7 @@ differential reference), while :meth:`LaneGroup.drive_words_batch` packs
 the stream into one bit plane per wire and tallies zero-beats and
 transitions with popcounts via the :mod:`repro.hw.bitsim` word kernels —
 bit-identical counters, one pass per wire instead of one call per beat,
-and NumPy-free under ``word_impl="int"``.
+and NumPy-free on hosts without NumPy (the platform's ``int`` kernel).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
 from ..core.bitops import WORD_WIDTH, check_word, popcount
-from ..hw.bitsim import get_kernel
+from ..hw.bitsim import active_kernel
 
 
 @dataclass
@@ -102,8 +102,7 @@ class LaneGroup:
         for word in words:
             self.drive_word(word)
 
-    def drive_words_batch(self, words: Sequence[int],
-                          word_impl: str = "auto") -> None:
+    def drive_words_batch(self, words: Sequence[int]) -> None:
         """Clock a whole word sequence via bit-plane popcounts.
 
         Packs the stream into one bit plane per wire (bit *t* of plane
@@ -113,7 +112,7 @@ class LaneGroup:
         toggle from the wire's current level.  Counters, levels and
         :attr:`state_word` end up bit-identical to :meth:`drive_words`
         (the differential suite in ``tests/phy/test_lane.py`` enforces
-        it); ``word_impl="int"`` runs NumPy-free.
+        it).
         """
         word_list = list(words)
         beats = len(word_list)
@@ -121,7 +120,7 @@ class LaneGroup:
             return
         for word in word_list:
             check_word(word)
-        kernel = get_kernel(word_impl)
+        kernel = active_kernel()
         planes = kernel.pack_bus(word_list, WORD_WIDTH, beats)
         for position, lane in enumerate(self.lanes):
             plane = planes[position]

@@ -143,9 +143,9 @@ def population_activity(scheme: DbiScheme, population,
                         chunk_size: int = DEFAULT_CHUNK_SIZE) -> ActivityTotals:
     """Encode a whole population once and tally (transitions, zeros).
 
-    The chunked twin of :func:`repro.sim.sweep.collect_activity`: the
-    population streams through in fixed-size chunks, so arbitrarily large
-    sources fit in memory.  On the ``vector`` backend, packable sources
+    Accepts a :class:`~repro.workloads.population.BurstPopulation` or any
+    non-empty burst sequence.  The population streams through in
+    fixed-size chunks, so arbitrarily large sources fit in memory.  On the ``vector`` backend, packable sources
     feed ``(chunk, n)`` arrays straight into the scheme's batch kernel
     without materialising :class:`~repro.core.burst.Burst` objects.
     Totals are integer sums, so chunking never changes the result.
@@ -259,11 +259,11 @@ def shared_cache() -> ActivityCache:
     *processes*: a warm CLI run (or a daemon restart) skips every encode
     a previous run already paid for.
     """
-    global _SHARED_CACHE
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir:
-        from ..service.diskcache import DiskActivityCache
+    from ..service.diskcache import DiskActivityCache, resolve_cache_dir
 
+    global _SHARED_CACHE
+    cache_dir = resolve_cache_dir()
+    if cache_dir:
         wanted = os.path.abspath(cache_dir)
         if (not isinstance(_SHARED_CACHE, DiskActivityCache)
                 or _SHARED_CACHE.directory != wanted):
@@ -1114,19 +1114,19 @@ class FaultResult(_Result):
 
 
 def run_faults(spec: FaultSpec, backend: Optional[str] = None,
-               cache: Optional[ActivityCache] = None,
-               word_impl: str = "auto") -> FaultResult:
+               cache: Optional[ActivityCache] = None) -> FaultResult:
     """Execute a fault spec: plan unique coverage rows, inject, tally.
 
     Rows are deduplicated by :meth:`FaultSpec.coverage_key` (two slots
     with equal fingerprints share every row), only the missing rows are
     injected, and the result is bit-identical across backends and word
-    implementations (there is no ``jobs``: the vector engine is already
+    kernels (there is no ``jobs``: the vector engine is already
     mask-parallel).  ``backend`` follows
     :func:`repro.hw.bitsim.resolve_sim_backend` — ``auto`` resolves to
-    the mask-parallel engine even without NumPy.
+    the mask-parallel engine even without NumPy.  Provenance names the
+    word kernel that ran under ``word_impl``.
     """
-    from ..hw.bitsim import resolve_sim_backend
+    from ..hw.bitsim import resolve_sim_backend, resolve_word_impl
 
     resolved = resolve_sim_backend(backend)
     planned = {spec.coverage_key(scheme, rate): (scheme, rate)
@@ -1143,7 +1143,7 @@ def run_faults(spec: FaultSpec, backend: Optional[str] = None,
         for scheme, todo in groups.values():
             rows = fault_coverage_curve(
                 scheme, bursts, rates=[rate for __, rate in todo],
-                seed=spec.seed, backend=resolved, word_impl=word_impl)
+                seed=spec.seed, backend=resolved)
             for (key, __), row in zip(todo, rows):
                 yield key, row
 
@@ -1156,7 +1156,8 @@ def run_faults(spec: FaultSpec, backend: Optional[str] = None,
 
     return _run_axis("injections", planned, compute, assemble, cache,
                      resolved,
-                     {"word_impl": word_impl, "rates": len(spec.rates),
+                     {"word_impl": resolve_word_impl(),
+                      "rates": len(spec.rates),
                       "seed": spec.seed,
                       "population": spec.population.digest(),
                       "population_bursts": len(spec.population)})
@@ -1347,17 +1348,17 @@ class SsoResult(_Result):
 
 
 def run_sso(spec: SsoSpec, backend: Optional[str] = None,
-            cache: Optional[ActivityCache] = None,
-            word_impl: str = "auto") -> SsoResult:
+            cache: Optional[ActivityCache] = None) -> SsoResult:
     """Execute an SSO spec: encode + tally once per slot, price per interface.
 
     Statistics come from :func:`~repro.analysis.sso.sso_of_scheme_batch`,
-    so they are bit-identical across backends and word implementations
+    so they are bit-identical across backends and word kernels
     (enforced by ``tests/analysis/test_sso_batch.py``); ``backend``
-    follows :func:`repro.hw.bitsim.resolve_sim_backend`.
+    follows :func:`repro.hw.bitsim.resolve_sim_backend`.  Provenance
+    names the word kernel that ran under ``word_impl``.
     """
     from ..analysis.sso import sso_of_scheme_batch
-    from ..hw.bitsim import resolve_sim_backend
+    from ..hw.bitsim import resolve_sim_backend, resolve_word_impl
 
     resolved = resolve_sim_backend(backend)
 
@@ -1365,8 +1366,7 @@ def run_sso(spec: SsoSpec, backend: Optional[str] = None,
         bursts = spec.population.bursts()
         for key, scheme in missing:
             yield key, sso_of_scheme_batch(
-                scheme, bursts, chained=spec.chained, backend=resolved,
-                word_impl=word_impl)
+                scheme, bursts, chained=spec.chained, backend=resolved)
 
     def assemble(totals: Dict[str, "SsoStatistics"]) -> SsoResult:
         presets = [(name, get_interface(name)) for name in spec.interfaces]
@@ -1391,7 +1391,8 @@ def run_sso(spec: SsoSpec, backend: Optional[str] = None,
                      {spec.sso_key(scheme): scheme
                       for __, scheme in spec.slots},
                      compute, assemble, cache, resolved,
-                     {"word_impl": word_impl, "chained": spec.chained,
+                     {"word_impl": resolve_word_impl(),
+                      "chained": spec.chained,
                       "threshold": spec.threshold,
                       "line_impedance_ohms": spec.line_impedance_ohms,
                       "interfaces": len(spec.interfaces),

@@ -1,11 +1,12 @@
 """Differential tests: batched SSO engine vs the scalar reference.
 
-Runs on the no-NumPy CI leg too: every case exercises ``word_impl="int"``
-and the uint64/ndarray legs skip themselves when NumPy is absent.
+Runs on the no-NumPy CI leg too: every kernel-parametrized case runs the
+``int`` word kernel, and the uint64/ndarray legs skip themselves when
+NumPy is absent.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sso import (
@@ -26,7 +27,9 @@ try:
 except ImportError:
     HAVE_NUMPY = False
 
-IMPLS = ("int", "uint64") if HAVE_NUMPY else ("int",)
+# The word_kernel swap holds for the whole test, so sharing that
+# function-scoped fixture across hypothesis examples is sound.
+SHARED_FIXTURE = [HealthCheck.function_scoped_fixture]
 
 word_rows = st.lists(
     st.lists(st.integers(min_value=0, max_value=0x1FF),
@@ -66,25 +69,24 @@ def merged_reference(rows, prev_words, chained):
 
 
 class TestSsoOfWordsBatch:
-    @pytest.mark.parametrize("impl", IMPLS)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=SHARED_FIXTURE)
     @given(rows=word_rows, chained=st.booleans())
-    def test_matches_merged_scalar(self, rows, chained, impl):
-        batch = sso_of_words_batch(rows, chained=chained, word_impl=impl)
+    def test_matches_merged_scalar(self, rows, chained, word_kernel):
+        batch = sso_of_words_batch(rows, chained=chained)
         assert batch == merged_reference(rows, ALL_ONES_WORD, chained)
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=SHARED_FIXTURE)
     @given(rows=word_rows, prev=st.integers(min_value=0, max_value=0x1FF))
-    def test_scalar_prev_broadcast(self, rows, prev, impl):
-        batch = sso_of_words_batch(rows, prev_words=prev, word_impl=impl)
+    def test_scalar_prev_broadcast(self, rows, prev, word_kernel):
+        batch = sso_of_words_batch(rows, prev_words=prev)
         assert batch == merged_reference(rows, prev, chained=False)
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_per_row_prev_words(self, impl):
+    def test_per_row_prev_words(self, word_kernel):
         rows = [[0x000, 0x0FF], [0x1FF], [0x155, 0x0AA]]
         prevs = [0x1FF, 0x000, 0x155]
-        batch = sso_of_words_batch(rows, prev_words=prevs, word_impl=impl)
+        batch = sso_of_words_batch(rows, prev_words=prevs)
         assert batch == merged_reference(rows, prevs, chained=False)
 
     def test_prev_words_length_mismatch(self):
@@ -108,14 +110,12 @@ class TestSsoOfWordsBatch:
         assert sso_of_words_batch([[0x000], [0x1FF]]).histogram == {0: 1, 9: 1}
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="ndarray input requires NumPy")
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_ndarray_input(self, impl):
+    def test_ndarray_input(self, word_kernel):
         rng = numpy.random.default_rng(11)
         matrix = rng.integers(0, 0x200, size=(7, 8), dtype=numpy.int64)
         rows = [list(map(int, row)) for row in matrix]
         for chained in (False, True):
-            assert (sso_of_words_batch(matrix, chained=chained,
-                                       word_impl=impl)
+            assert (sso_of_words_batch(matrix, chained=chained)
                     == merged_reference(rows, ALL_ONES_WORD, chained))
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="ndarray input requires NumPy")
@@ -127,14 +127,17 @@ class TestSsoOfWordsBatch:
 class TestSsoOfSchemeBatch:
     @pytest.mark.parametrize("scheme_name", available_schemes())
     @pytest.mark.parametrize("chained", (False, True))
-    @pytest.mark.parametrize("impl", IMPLS)
-    @settings(max_examples=12, deadline=None)
+    @pytest.mark.parametrize("word_kernel", ["int", "uint64"],
+                             indirect=True)
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=SHARED_FIXTURE)
     @given(bursts=burst_lists)
-    def test_matches_scalar_engine(self, bursts, scheme_name, chained, impl):
+    def test_matches_scalar_engine(self, bursts, scheme_name, chained,
+                                   word_kernel):
         reference = sso_of_scheme(get_scheme(scheme_name), bursts,
                                   chained=chained)
         batch = sso_of_scheme_batch(get_scheme(scheme_name), bursts,
-                                    chained=chained, word_impl=impl)
+                                    chained=chained)
         assert batch == reference
 
     @pytest.mark.parametrize("scheme_name", ("raw", "dbi-dc", "dbi-opt"))

@@ -25,7 +25,6 @@ from repro.core.vectorized import (
     pack_bursts,
     resolve_backend,
     solve_batch,
-    solve_stream_batch,
     try_pack_bursts,
 )
 
@@ -106,12 +105,13 @@ class TestSolveBatchParity:
 
 class TestStreamingParity:
     def test_solve_stream_batch_matches_reference(self):
-        """Batched streaming solve vs solve_stream, arbitrary boundaries."""
+        """solve_batch on rows taken as streams vs solve_stream, with
+        arbitrary per-row boundaries."""
         rng = np.random.default_rng(99)
         model = CostModel.from_ac_fraction(0.61)
         data = random_batch(rng, 80, 24)
         prev_words = rng.integers(0, 512, size=80)
-        flags, costs = solve_stream_batch(data, model, prev_words=prev_words)
+        flags, costs = solve_batch(data, model, prev_words=prev_words)
         for row in range(80):
             ref_flags, ref_cost = solve_stream(data[row].tolist(), model,
                                                prev_word=int(prev_words[row]))
@@ -160,13 +160,13 @@ class TestSchemeKernelParity:
 
     @pytest.mark.parametrize("name", SCHEMES)
     def test_batch_activity_matches_per_burst(self, name):
-        from repro.sim.sweep import collect_activity
+        from repro.sim.experiments import population_activity
         from repro.workloads.random_data import random_bursts
 
         scheme = get_scheme(name)
         bursts = random_bursts(count=250, seed=5)
-        vector = collect_activity(scheme, bursts, backend="vector")
-        reference = collect_activity(scheme, bursts, backend="reference")
+        vector = population_activity(scheme, bursts, backend="vector")
+        reference = population_activity(scheme, bursts, backend="reference")
         assert (vector.transitions, vector.zeros) == \
                (reference.transitions, reference.zeros)
 

@@ -25,9 +25,6 @@ from repro.extensions.reliability import (
 bursts = st.lists(st.integers(min_value=0, max_value=255),
                   min_size=1, max_size=12).map(Burst)
 
-#: Packed word representations available in this environment.
-WORD_IMPLS = ["int"] + (["uint64"] if HAVE_NUMPY else [])
-
 
 class TestDecodeWithFaults:
     def test_no_faults_round_trip(self):
@@ -150,11 +147,12 @@ class TestFaultSweepBatch:
         from repro.workloads.population import RandomPopulation
         return RandomPopulation(count=200, seed=55).bursts()
 
-    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
+    @pytest.mark.parametrize("word_kernel", ["int", "uint64"],
+                             indirect=True)
     @pytest.mark.parametrize("scheme_name",
                              ["raw", "dbi-dc", "dbi-ac", "dbi-opt"])
     def test_bit_identical_to_reference(self, population, scheme_name,
-                                        word_impl):
+                                        word_kernel):
         scheme = get_scheme(scheme_name)
         for faults_per_burst, seed in ((1, 7), (3, 42)):
             reference = fault_sweep(scheme, population,
@@ -162,7 +160,7 @@ class TestFaultSweepBatch:
                                     seed=seed)
             batch = fault_sweep_batch(scheme, population,
                                       faults_per_burst=faults_per_burst,
-                                      seed=seed, word_impl=word_impl)
+                                      seed=seed)
             assert batch == reference
 
     def test_reference_backend_delegates(self, population):
@@ -174,11 +172,12 @@ class TestFaultSweepBatch:
         with pytest.raises(ValueError):
             fault_sweep_batch(DbiDc(), population, faults_per_burst=0)
 
-    def test_word_impls_agree(self, population):
+    def test_word_impls_agree(self, population, word_kernels):
         if not HAVE_NUMPY:
-            pytest.skip("uint64 word implementation needs NumPy")
-        assert (fault_sweep_batch(Raw(), population, word_impl="int")
-                == fault_sweep_batch(Raw(), population, word_impl="uint64"))
+            pytest.skip("uint64 word kernel needs NumPy")
+        int_stats, uint64_stats = [fault_sweep_batch(Raw(), population)
+                                   for _kernel in word_kernels()]
+        assert int_stats == uint64_stats
 
     def test_empty_population(self):
         stats = fault_sweep_batch(DbiDc(), [])
@@ -211,11 +210,10 @@ class TestFaultCoverageCurve:
         from repro.workloads.population import RandomPopulation
         return RandomPopulation(count=150, seed=21).bursts()
 
-    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
-    def test_backends_bit_identical(self, population, word_impl):
+    def test_backends_bit_identical(self, population, word_kernel):
         scheme = get_scheme("dbi-opt")
         vector = fault_coverage_curve(scheme, population, seed=13,
-                                      backend="vector", word_impl=word_impl)
+                                      backend="vector")
         reference = fault_coverage_curve(scheme, population, seed=13,
                                          backend="reference")
         assert vector == reference

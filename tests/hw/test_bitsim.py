@@ -3,24 +3,24 @@
 The scalar interpreter of :meth:`Netlist.simulate_activity` /
 :meth:`Netlist.evaluate` is the executable specification; the compiled
 engine of :mod:`repro.hw.bitsim` must be *bit-identical* to it — same
-per-gate toggle tallies, same outputs — for every word implementation
-(pure-Python ints, NumPy uint64) and any chunking.  This suite enforces
-that over hypothesis-generated random netlists, hand-built corner cases
-and every encoder design of :mod:`repro.hw.encoders`.
+per-gate toggle tallies, same outputs — for every word kernel
+(pure-Python ints, NumPy uint64; each swapped in as the platform kernel
+by the ``word_kernel``/``word_kernels`` fixtures) and any chunking.
+This suite enforces that over hypothesis-generated random netlists,
+hand-built corner cases and every encoder design of
+:mod:`repro.hw.encoders`.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.burst import Burst
 from repro.hw.activity import iter_vectors, measure_activity, vectors_from_bursts
+from repro.hw import bitsim
 from repro.hw.bitsim import (
-    CompiledNetlist,
-    WORD_IMPLS,
     compile_netlist,
-    get_kernel,
     resolve_sim_backend,
     resolve_word_impl,
     word_function_from_truth_table,
@@ -40,9 +40,6 @@ try:
 except ImportError:
     HAVE_NUMPY = False
 
-#: Word implementations testable in this environment.
-IMPLS = ("int", "uint64") if HAVE_NUMPY else ("int",)
-
 CELL_NAMES = sorted(LIBRARY)
 
 
@@ -55,17 +52,18 @@ def random_vectors(netlist, count, seed):
     ]
 
 
-def assert_parity(netlist, vectors, chunk_vectors=None):
-    """Scalar vs bit-parallel: identical reports and identical outputs."""
+def assert_parity(word_kernels, netlist, vectors, chunk_vectors=None):
+    """Scalar vs bit-parallel on every host kernel: identical reports and
+    identical outputs."""
     reference = netlist.simulate_activity(iter(vectors), backend="reference")
     reference_outputs = [netlist.evaluate(vector) for vector in vectors]
     compiled = compile_netlist(netlist)
-    for impl in IMPLS:
-        report = compiled.simulate_activity(iter(vectors), word_impl=impl,
+    for _kernel in word_kernels():
+        report = compiled.simulate_activity(iter(vectors),
                                             chunk_vectors=chunk_vectors)
         assert report.gate_toggles == reference.gate_toggles
         assert report.n_cycles == reference.n_cycles
-        outputs = compiled.evaluate_batch(vectors, word_impl=impl,
+        outputs = compiled.evaluate_batch(vectors,
                                           chunk_vectors=chunk_vectors)
         assert outputs == reference_outputs
 
@@ -90,13 +88,16 @@ def netlists(draw):
     return nl
 
 
-@settings(max_examples=60, deadline=None)
+# word_kernels re-swaps the kernel inside every example, so sharing the
+# function-scoped fixture across examples is sound.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(netlist=netlists(), seed=st.integers(min_value=0, max_value=2**32),
        count=st.integers(min_value=2, max_value=70),
        chunk=st.sampled_from([None, 1, 2, 7, 16, 64]))
-def test_random_netlist_parity(netlist, seed, count, chunk):
+def test_random_netlist_parity(word_kernels, netlist, seed, count, chunk):
     vectors = random_vectors(netlist, count, seed)
-    assert_parity(netlist, vectors, chunk_vectors=chunk)
+    assert_parity(word_kernels, netlist, vectors, chunk_vectors=chunk)
 
 
 # -- every encoder design ----------------------------------------------------
@@ -116,26 +117,27 @@ def _random_bursts(count, seed, length=8):
      {"alpha": 3, "beta": 5}),
     (lambda: build_opt_encoder(4), {}),
 ], ids=["dc", "ac", "opt-fixed", "opt-carry-select", "opt-q3", "opt-len4"])
-def test_encoder_parity(build, coefficients):
+def test_encoder_parity(word_kernels, build, coefficients):
     netlist = build()
     length = sum(1 for name in netlist.inputs if name.startswith("byte"))
     vectors = vectors_from_bursts(_random_bursts(200, seed=0xBEEF,
                                                  length=length),
                                   **coefficients)
-    assert_parity(netlist, vectors, chunk_vectors=77)
+    assert_parity(word_kernels, netlist, vectors, chunk_vectors=77)
 
 
-def test_decoder_parity():
+def test_decoder_parity(word_kernels):
     netlist = build_decoder(8)
     rng = random.Random(5)
     vectors = [{f"word{i}": rng.getrandbits(9) for i in range(8)}
                for _ in range(150)]
-    assert_parity(netlist, vectors, chunk_vectors=64)
+    assert_parity(word_kernels, netlist, vectors, chunk_vectors=64)
 
 
-def test_measure_activity_backend_parity():
+def test_measure_activity_backend_parity(word_kernels):
     """measure_activity's vector path (packed fast path when NumPy is
-    present, dict packing otherwise) agrees with the scalar reference."""
+    present, dict packing otherwise) agrees with the scalar reference on
+    every host kernel."""
     for build, coefficients in [
         (lambda: build_dc_encoder(8), {}),
         (lambda: build_opt_encoder(8), {}),
@@ -145,17 +147,18 @@ def test_measure_activity_backend_parity():
         netlist = build()
         reference = measure_activity(netlist, n_bursts=300,
                                      backend="reference", **coefficients)
-        fast = measure_activity(netlist, n_bursts=300, backend="vector",
-                                **coefficients)
-        assert fast.gate_toggles == reference.gate_toggles
-        assert fast.n_cycles == reference.n_cycles
+        for _kernel in word_kernels():
+            fast = measure_activity(netlist, n_bursts=300, backend="vector",
+                                    **coefficients)
+            assert fast.gate_toggles == reference.gate_toggles
+            assert fast.n_cycles == reference.n_cycles
 
 
 # -- chunk boundaries --------------------------------------------------------
 
-@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("word_kernel", ["int", "uint64"], indirect=True)
 @pytest.mark.parametrize("count", [2, 3, 63, 64, 65, 128, 129])
-def test_chunk_boundaries(impl, count):
+def test_chunk_boundaries(count, word_kernel):
     """Vector counts straddling word and chunk boundaries; toggles that
     cross a chunk seam must still be counted exactly once."""
     netlist = build_dc_encoder(2)
@@ -163,20 +166,19 @@ def test_chunk_boundaries(impl, count):
     reference = netlist.simulate_activity(iter(vectors), backend="reference")
     compiled = compile_netlist(netlist)
     for chunk in (1, 2, 63, 64, 65, None):
-        report = compiled.simulate_activity(iter(vectors), word_impl=impl,
+        report = compiled.simulate_activity(iter(vectors),
                                             chunk_vectors=chunk)
         assert report.gate_toggles == reference.gate_toggles, (chunk, count)
         assert report.n_cycles == count - 1
 
 
-def test_alternating_input_every_cycle_toggles():
+def test_alternating_input_every_cycle_toggles(word_kernels):
     nl = Netlist("alt")
     a, = nl.add_input("a", 1)
     nl.mark_output("y", [nl.gate("INV", a)])
     vectors = [{"a": i & 1} for i in range(130)]
-    for impl in IMPLS:
+    for _kernel in word_kernels():
         report = compile_netlist(nl).simulate_activity(vectors,
-                                                       word_impl=impl,
                                                        chunk_vectors=32)
         assert report.gate_toggles == [129]
 
@@ -184,15 +186,15 @@ def test_alternating_input_every_cycle_toggles():
 # -- validation and semantics parity -----------------------------------------
 
 class TestValidation:
-    def test_needs_two_vectors(self):
+    def test_needs_two_vectors(self, word_kernels):
         nl = build_dc_encoder(2)
         compiled = compile_netlist(nl)
-        for impl in IMPLS:
+        for _kernel in word_kernels():
             with pytest.raises(ValueError, match="at least 2"):
-                compiled.simulate_activity([], word_impl=impl)
+                compiled.simulate_activity([])
             with pytest.raises(ValueError, match="at least 2"):
                 compiled.simulate_activity(
-                    vectors_from_bursts([Burst([1, 2])]), word_impl=impl)
+                    vectors_from_bursts([Burst([1, 2])]))
 
     def test_short_generator_fails_without_simulation(self):
         """The scalar path must fail fast on a 1-vector generator without
@@ -213,22 +215,20 @@ class TestValidation:
             nl.simulate_activity(iter([{"a": 1}]), backend="reference")
         assert calls == []  # nothing was simulated
 
-    def test_missing_input_raises_keyerror(self):
+    def test_missing_input_raises_keyerror(self, word_kernels):
         nl = build_dc_encoder(2)
         compiled = compile_netlist(nl)
-        for impl in IMPLS:
+        for _kernel in word_kernels():
             with pytest.raises(KeyError, match="missing input"):
-                compiled.simulate_activity([{"byte0": 1}] * 3,
-                                           word_impl=impl)
+                compiled.simulate_activity([{"byte0": 1}] * 3)
 
-    def test_input_overflow_rejected(self):
+    def test_input_overflow_rejected(self, word_kernels):
         nl = Netlist("w")
         nl.add_input("a", 2)
         nl.mark_output("y", [nl.inputs["a"][0]])
-        for impl in IMPLS:
+        for _kernel in word_kernels():
             with pytest.raises(ValueError, match="does not fit"):
-                compile_netlist(nl).evaluate_batch([{"a": 4}],
-                                                   word_impl=impl)
+                compile_netlist(nl).evaluate_batch([{"a": 4}])
 
 
 class TestBackendDispatch:
@@ -262,11 +262,13 @@ class TestBackendDispatch:
             repro.set_default_backend(previous)
 
     def test_resolve_word_impl(self):
-        assert resolve_word_impl("int") == "int"
+        """Names the kernel that runs; no kernel can be requested."""
         expected = "uint64" if HAVE_NUMPY else "int"
+        assert resolve_word_impl() == expected
         assert resolve_word_impl("auto") == expected
-        with pytest.raises(ValueError):
-            resolve_word_impl("uint128")
+        for request in ("int", "uint64", "uint128"):
+            with pytest.raises(ValueError, match="not selectable"):
+                resolve_word_impl(request)
 
 
 class TestCompilation:
@@ -307,35 +309,44 @@ class TestCompilation:
         assert bare.word_function is None
         assert bare.evaluate_words(0b1111, 0b0011, 0b0101) == 0b0001
 
-    def test_undriven_net_reads_zero(self):
+    def test_undriven_net_reads_zero(self, word_kernels):
         nl = Netlist("undriven")
         a, = nl.add_input("a", 1)
         floating = nl.new_net()
         nl.mark_output("y", [nl.gate("OR2", a, floating)])
         vectors = [{"a": 1}, {"a": 0}, {"a": 1}]
-        assert_parity(nl, vectors)
+        assert_parity(word_kernels, nl, vectors)
 
-    def test_constants_in_outputs(self):
+    def test_constants_in_outputs(self, word_kernels):
         nl = Netlist("consts")
         a, = nl.add_input("a", 1)
         nl.gate("INV", a)  # a gate whose output is not observed
         nl.mark_output("y", [CONST0, CONST1, a])
         vectors = [{"a": 1}, {"a": 0}]
-        assert_parity(nl, vectors)
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="uint64 kernel requires NumPy")
-def test_uint64_requires_numpy_error(monkeypatch):
-    import repro.hw.bitsim as bitsim
-
-    monkeypatch.setattr(bitsim, "_np", None)
-    with pytest.raises(RuntimeError, match="NumPy"):
-        bitsim.resolve_word_impl("uint64")
-    assert bitsim.resolve_word_impl("auto") == "int"
+        assert_parity(word_kernels, nl, vectors)
 
 
 def test_kernels_exposed():
-    assert get_kernel("int").name == "int"
-    if HAVE_NUMPY:
-        assert get_kernel("auto").name == "uint64"
-    assert set(WORD_IMPLS) == {"auto", "int", "uint64"}
+    """The platform picks the kernel: uint64 exactly when NumPy imports."""
+    assert bitsim.active_kernel() is bitsim.KERNEL
+    expected = bitsim.Uint64Kernel if HAVE_NUMPY else bitsim.IntKernel
+    assert type(bitsim.KERNEL) is expected
+    assert bitsim.IntKernel.name == "int"
+    assert bitsim.Uint64Kernel.name == "uint64"
+
+
+def test_kernel_swap_reaches_consumers(monkeypatch):
+    """Consumers read the platform kernel when called, not at import, so
+    swapping :data:`bitsim.KERNEL` is what selects the kernel that runs."""
+    calls = []
+
+    class Recording(bitsim.IntKernel):
+        def pack_bus(self, values, width, n_vectors):
+            calls.append(width)
+            return super().pack_bus(values, width, n_vectors)
+
+    monkeypatch.setattr(bitsim, "KERNEL", Recording())
+    nl = build_dc_encoder(2)
+    compile_netlist(nl).simulate_activity(
+        vectors_from_bursts(_random_bursts(4, seed=1, length=2)))
+    assert calls

@@ -1,7 +1,7 @@
 """Unit tests for per-lane state tracking."""
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sso import sso_of_words
@@ -118,15 +118,6 @@ class TestLaneGroup:
         assert group.total_transitions == 0
 
 
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-IMPLS = ("int", "uint64") if HAVE_NUMPY else ("int",)
-
-
 class TestDriveWordsBatch:
     """drive_words_batch must be bit-identical to the scalar path."""
 
@@ -135,26 +126,28 @@ class TestDriveWordsBatch:
         return ([(lane.level, lane.zero_beats, lane.transitions, lane.beats)
                  for lane in group.lanes], group.state_word)
 
-    @pytest.mark.parametrize("impl", IMPLS)
+    # The kernel swap holds for the whole test, so sharing the
+    # function-scoped fixture across hypothesis examples is sound.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(words=word_lists,
            start=st.integers(min_value=0, max_value=0x1FF))
-    def test_matches_scalar_path(self, words, start, impl):
+    def test_matches_scalar_path(self, words, start, word_kernel):
         scalar = LaneGroup()
         batched = LaneGroup()
         scalar.reset(start)
         batched.reset(start)
         scalar.drive_words(words)
-        batched.drive_words_batch(words, word_impl=impl)
+        batched.drive_words_batch(words)
         assert self.snapshot(batched) == self.snapshot(scalar)
 
-    @pytest.mark.parametrize("impl", IMPLS)
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(first=word_lists, second=word_lists)
-    def test_accumulates_across_calls(self, first, second, impl):
+    def test_accumulates_across_calls(self, first, second, word_kernel):
         scalar = LaneGroup()
         batched = LaneGroup()
         scalar.drive_words(first + second)
-        batched.drive_words_batch(first, word_impl=impl)
-        batched.drive_words_batch(second, word_impl=impl)
+        batched.drive_words_batch(first)
+        batched.drive_words_batch(second)
         assert self.snapshot(batched) == self.snapshot(scalar)
 
     def test_empty_is_noop(self):

@@ -34,7 +34,6 @@ from repro.sim.experiments import (
 from repro.sim.report import format_alpha_sweep, format_load_sweep
 from repro.sim.sweep import (
     alpha_sweep,
-    collect_activity,
     data_rate_sweep,
     load_sweep,
     to_alpha_result,
@@ -62,12 +61,20 @@ def bursts(population):
 
 # -- straight-line reimplementations of the pre-engine sweep loops -----------
 
+def tally(scheme, bursts, backend):
+    # 17-burst chunks split the population unevenly while the engine
+    # tallies in default-size chunks, so the equivalence tests below also
+    # pin that chunking never changes the totals.
+    return population_activity(scheme, bursts, backend=backend,
+                               chunk_size=17)
+
+
 def legacy_alpha_sweep(bursts, points, include_fixed, backend):
     ac_costs = [i / (points - 1) for i in range(points)]
     static_schemes = {"raw": Raw(), "dbi-dc": DbiDc(), "dbi-ac": DbiAc()}
     if include_fixed:
         static_schemes["dbi-opt-fixed"] = DbiOptimal(CostModel.fixed())
-    static_activity = {name: collect_activity(scheme, bursts, backend=backend)
+    static_activity = {name: tally(scheme, bursts, backend)
                        for name, scheme in static_schemes.items()}
     series = {name: [] for name in static_schemes}
     series["dbi-opt"] = []
@@ -75,7 +82,7 @@ def legacy_alpha_sweep(bursts, points, include_fixed, backend):
         model = CostModel.from_ac_fraction(ac_cost)
         for name, activity in static_activity.items():
             series[name].append(activity.mean_cost(model))
-        optimal = collect_activity(DbiOptimal(model), bursts, backend=backend)
+        optimal = tally(DbiOptimal(model), bursts, backend)
         series["dbi-opt"].append(optimal.mean_cost(model))
     return ac_costs, series
 
@@ -83,11 +90,11 @@ def legacy_alpha_sweep(bursts, points, include_fixed, backend):
 def legacy_data_rate_sweep(bursts, rates, c_load, backend):
     pod = pod135()
     static_activity = {
-        "raw": collect_activity(Raw(), bursts, backend=backend),
-        "dbi-dc": collect_activity(DbiDc(), bursts, backend=backend),
-        "dbi-ac": collect_activity(DbiAc(), bursts, backend=backend),
-        "dbi-opt-fixed": collect_activity(DbiOptimal(CostModel.fixed()),
-                                          bursts, backend=backend),
+        "raw": tally(Raw(), bursts, backend),
+        "dbi-dc": tally(DbiDc(), bursts, backend),
+        "dbi-ac": tally(DbiAc(), bursts, backend),
+        "dbi-opt-fixed": tally(DbiOptimal(CostModel.fixed()), bursts,
+                               backend),
     }
     normalized = {name: [] for name in list(static_activity) + ["dbi-opt"]}
     absolute = {name: [] for name in normalized}
@@ -98,8 +105,8 @@ def legacy_data_rate_sweep(bursts, rates, c_load, backend):
             energy = activity.mean_energy(energy_model)
             absolute[name].append(energy)
             normalized[name].append(energy / raw_energy)
-        optimal = collect_activity(DbiOptimal(energy_model.cost_model()),
-                                   bursts, backend=backend)
+        optimal = tally(DbiOptimal(energy_model.cost_model()), bursts,
+                        backend)
         energy = optimal.mean_energy(energy_model)
         absolute["dbi-opt"].append(energy)
         normalized["dbi-opt"].append(energy / raw_energy)
@@ -109,10 +116,10 @@ def legacy_data_rate_sweep(bursts, rates, c_load, backend):
 def legacy_load_sweep(bursts, rates, loads, encoder_energy_j, backend):
     pod = pod135()
     activity = {
-        "dbi-dc": collect_activity(DbiDc(), bursts, backend=backend),
-        "dbi-ac": collect_activity(DbiAc(), bursts, backend=backend),
-        "dbi-opt-fixed": collect_activity(DbiOptimal(CostModel.fixed()),
-                                          bursts, backend=backend),
+        "dbi-dc": tally(DbiDc(), bursts, backend),
+        "dbi-ac": tally(DbiAc(), bursts, backend),
+        "dbi-opt-fixed": tally(DbiOptimal(CostModel.fixed()), bursts,
+                               backend),
     }
     normalized = {}
     for c_load in loads:
@@ -159,14 +166,6 @@ class TestLegacyEquivalence:
         result = load_sweep(bursts, c_loads_farads=loads, data_rates_hz=rates,
                             encoder_energy_j=ENCODER_ENERGY, backend=backend)
         assert result.normalized == normalized
-
-    def test_population_activity_matches_collect(self, population, bursts,
-                                                 backend):
-        for scheme in (Raw(), DbiDc(), DbiOptimal(CostModel.fixed())):
-            chunked = population_activity(scheme, population,
-                                          backend=backend, chunk_size=17)
-            assert chunked == collect_activity(scheme, bursts,
-                                               backend=backend)
 
 
 class TestParallelExecution:

@@ -6,10 +6,10 @@ import pytest
 from repro.core.costs import CostModel
 from repro.phy.pod import pod135
 from repro.phy.power import GBPS, PICOFARAD
+from repro.sim.experiments import population_activity
 from repro.sim.sweep import (
     ActivityTotals,
     alpha_sweep,
-    collect_activity,
     data_rate_sweep,
     load_sweep,
 )
@@ -24,7 +24,7 @@ def population():
 class TestActivityTotals:
     def test_collect_matches_manual(self, population):
         from repro.baselines import DbiDc
-        activity = collect_activity(DbiDc(), population)
+        activity = population_activity(DbiDc(), population)
         scheme = DbiDc()
         zeros = sum(scheme.encode(b).zeros() for b in population)
         assert activity.zeros == zeros

@@ -319,16 +319,17 @@ class TestFaultsCommand:
         assert code == 0
         assert "| dbi-dc |" in out
 
-    def test_word_impl_and_backend_parity(self, capsys):
-        code_a, out_a, __ = run_cli(capsys, "faults", "--samples", "40",
-                                    "--rates", "0.05", "--word-impl", "int")
-        code_b, out_b, __ = run_cli(capsys, "faults", "--samples", "40",
-                                    "--rates", "0.05", "--backend",
-                                    "reference")
-        assert code_a == code_b == 0
+    def test_word_impl_and_backend_parity(self, capsys, word_kernels):
+        args = ("faults", "--samples", "40", "--rates", "0.05")
         table = lambda text: [line for line in text.splitlines()
                               if line.startswith("|")]
-        assert table(out_a) == table(out_b)
+        code, reference, __ = run_cli(capsys, *args, "--backend",
+                                      "reference")
+        assert code == 0
+        for _kernel in word_kernels():
+            code, out, __ = run_cli(capsys, *args)
+            assert code == 0
+            assert table(out) == table(reference)
 
     def test_out_artifact(self, capsys, tmp_path):
         path = tmp_path / "faults.json"
@@ -386,16 +387,19 @@ class TestSsoCommand:
         maxima = [int(line.split("|")[3]) for line in body]
         assert maxima == sorted(maxima, reverse=True)
 
-    def test_chained_and_word_impl_parity(self, capsys):
+    def test_chained_and_word_impl_parity(self, capsys, word_kernels):
         base = ("sso", "--samples", "40", "--schemes", "raw", "dbi-dc",
                 "--interfaces", "pod135", "--chained")
-        code_a, out_a, __ = run_cli(capsys, *base, "--word-impl", "int")
-        code_b, out_b, __ = run_cli(capsys, *base, "--backend", "reference")
-        assert code_a == code_b == 0
         table = lambda text: [line for line in text.splitlines()
                               if line.startswith("|")]
-        assert table(out_a) == table(out_b)
-        assert "chained boundary" in out_a
+        code, reference, __ = run_cli(capsys, *base, "--backend",
+                                      "reference")
+        assert code == 0
+        for _kernel in word_kernels():
+            code, out, __ = run_cli(capsys, *base)
+            assert code == 0
+            assert table(out) == table(reference)
+            assert "chained boundary" in out
 
     def test_patterns_population(self, capsys):
         code, out, __ = run_cli(capsys, "sso", "--patterns", "checkerboard",
@@ -430,6 +434,23 @@ class TestSsoCommand:
                                   str(tmp_path / "cache"))
         assert code2 == 0
         assert "cache_hits=1" in out2
+
+
+@pytest.mark.parametrize("command", [
+    ("faults", "--samples", "40", "--rates", "0.05"),
+    ("sso", "--samples", "40", "--interfaces", "pod135"),
+], ids=["faults", "sso"])
+class TestWordKernelNotSelectable:
+    def test_footer_names_the_kernel_that_ran(self, capsys, word_kernel,
+                                              command):
+        code, out, __ = run_cli(capsys, *command)
+        assert code == 0
+        assert f" word_impl={word_kernel.name} " in out
+
+    def test_word_impl_flag_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(capsys, *command, "--word-impl", "int")
+        assert exit_info.value.code == 2
 
 
 class TestCtrlArtifacts:
